@@ -4,12 +4,18 @@
 #   BENCH_gemm.json — kernel micro-benchmarks (bench/perf_layers.cpp);
 #                     compare BM_GemmNN vs BM_GemmRefNN for the packed
 #                     micro-kernel speedup over the pre-optimization loops.
-#   BENCH_mc.json   — Monte-Carlo inference throughput
+#   BENCH_mc.json   — Monte-Carlo inference throughput, wall clock
 #                     (bench/perf_mc_inference.cpp); compare BM_Mc*Batched
-#                     vs BM_Mc*Serial at the same T.
+#                     (session.mc_outputs) vs BM_Mc*Serial (its reference,
+#                     mc_outputs_serial) at the same T. Each benchmark
+#                     opens one graph-path session (compile off) in setup,
+#                     so no row times session construction or plan
+#                     compilation; the thread count is RIPPLE_THREADS
+#                     (default: every core), so record nproc with it.
 #   BENCH_serve.json— serving-layer overhead (bench/perf_serve.cpp);
 #                     compare BM_SessionPredict* against the raw
-#                     BM_RawMcForwardBatched*/BM_Mc*Batched numbers,
+#                     BM_RawMcForwardBatched* numbers (same session
+#                     options, mc_outputs without aggregation),
 #                     BM_CompiledVsGraph*/{T,1} (fused zero-alloc plans)
 #                     against the same benchmark's /{T,0} graph baseline,
 #                     BM_SessionPredictCrossbarTiled (64×64 tiles,

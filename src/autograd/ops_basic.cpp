@@ -1,7 +1,7 @@
 // Elementwise, scalar, per-channel broadcast, activation, shape and
 // reduction ops.
 //
-// Each op appends a TraceStep (deploy/trace.h) when a recorder is active;
+// Each op appends a TraceStep (deploy/recorder.h) when a recorder is active;
 // the recorded closures read every dimension from the tensors at execution
 // time so they stay valid at the plan's reduced uniform-row shapes.
 #include <cmath>
@@ -10,7 +10,7 @@
 #include "autograd/ops.h"
 #include "core/lazy_stem.h"
 #include "core/mc_stream.h"
-#include "deploy/trace.h"
+#include "deploy/recorder.h"
 #include "tensor/ops.h"
 #include "tensor/vmath.h"
 

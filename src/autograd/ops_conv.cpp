@@ -21,7 +21,7 @@
 #include "autograd/lowered.h"
 #include "autograd/ops.h"
 #include "deploy/exec_backend.h"
-#include "deploy/trace.h"
+#include "deploy/recorder.h"
 #include "tensor/gemm.h"
 #include "tensor/im2col.h"
 #include "tensor/ops.h"

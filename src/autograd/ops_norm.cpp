@@ -7,7 +7,7 @@
 
 #include "autograd/lowered.h"
 #include "autograd/ops.h"
-#include "deploy/trace.h"
+#include "deploy/recorder.h"
 #include "tensor/ops.h"
 
 namespace ripple::autograd {

@@ -12,9 +12,9 @@
 // each with its own counters — and a fixed (seed, slot) always reproduces
 // the same masks.
 //
-// Seed derivation is shared with (and identical to) the legacy path so the
-// serving API samples exactly the masks the deprecated evaluate.h helpers
-// sampled for the same base seed:
+// Seed derivation is shared with (and identical to) the legacy per-layer
+// path (InvertedNorm::set_mask_stream), so both sample exactly the same
+// masks for the same base seed:
 //   layer stream   s_l = splitmix64(base ^ (K1 · (slot+1)))
 //   invocation     s_i = splitmix64(s_l  ^ (K2 · (invocation+1)))
 //   replica        s_r = splitmix64(s_i  ^ (K3 · (replica+1)))

@@ -91,29 +91,51 @@ void write_variant(std::ostream& out, const models::VariantConfig& v) {
   write_pod(out, static_cast<uint8_t>(v.affine_first ? 1 : 0));
 }
 
+/// Reads an int32 enum field, rejecting values outside [0, last]: a
+/// corrupt byte must fail the load, not reach a switch as an unnamed
+/// enumerator.
+template <typename Enum>
+Enum read_enum(std::istream& in, const std::string& path, Enum last,
+               const char* what) {
+  const int32_t v = read_pod<int32_t>(in, path);
+  if (v < 0 || v > static_cast<int32_t>(last))
+    fail(path, std::string("corrupt ") + what);
+  return static_cast<Enum>(v);
+}
+
 models::VariantConfig read_variant(std::istream& in,
                                    const std::string& path) {
   models::VariantConfig v;
-  v.variant = static_cast<models::Variant>(read_pod<int32_t>(in, path));
+  v.variant = read_enum(in, path, models::Variant::kProposed, "variant");
   v.dropout_p = read_pod<float>(in, path);
-  v.init.kind = static_cast<core::AffineInit::Kind>(read_pod<int32_t>(in, path));
+  v.init.kind = read_enum(in, path, core::AffineInit::Kind::kConstant,
+                          "affine init kind");
   v.init.sigma_gamma = read_pod<float>(in, path);
   v.init.sigma_beta = read_pod<float>(in, path);
   v.init.k_gamma = read_pod<float>(in, path);
   v.init.k_beta = read_pod<float>(in, path);
-  v.granularity = static_cast<core::DropGranularity>(read_pod<int32_t>(in, path));
+  v.granularity = read_enum(in, path, core::DropGranularity::kVectorWise,
+                            "drop granularity");
   v.affine_first = read_pod<uint8_t>(in, path) != 0;
   return v;
 }
+
+// Two session-option fields that the on-disk layout (formats v1-v3) keeps
+// but serving does not use: the execution policy (an int32 enum: batched,
+// serial, auto) and the clamp-samples flag (a uint8). Writers emit auto
+// and clamp on; readers range-check and discard them. Sessions always fold
+// T into the batch and clamp deterministic variants to T = 1.
+constexpr int32_t kLegacyPolicyAuto = 2;
+constexpr uint8_t kLegacyClampOn = 1;
 
 void write_session_options(std::ostream& out, const serve::SessionOptions& o,
                            uint32_t version) {
   write_pod(out, static_cast<int32_t>(o.task));
   write_pod(out, static_cast<int32_t>(o.mc_samples));
   write_pod(out, o.seed);
-  write_pod(out, static_cast<int32_t>(o.policy));
+  write_pod(out, kLegacyPolicyAuto);
   write_pod(out, o.max_batch);
-  write_pod(out, static_cast<uint8_t>(o.clamp_samples ? 1 : 0));
+  write_pod(out, kLegacyClampOn);
   write_pod(out, static_cast<int32_t>(o.batch_max_requests));
   write_pod(out, o.batch_max_delay_us);
   write_pod(out, o.batch_max_rows);
@@ -126,12 +148,12 @@ serve::SessionOptions read_session_options(std::istream& in,
                                            const std::string& path,
                                            uint32_t version) {
   serve::SessionOptions o;
-  o.task = static_cast<serve::TaskKind>(read_pod<int32_t>(in, path));
+  o.task = read_enum(in, path, serve::TaskKind::kSegmentation, "task kind");
   o.mc_samples = read_pod<int32_t>(in, path);
   o.seed = read_pod<uint64_t>(in, path);
-  o.policy = static_cast<serve::ExecutionPolicy>(read_pod<int32_t>(in, path));
+  (void)read_enum(in, path, kLegacyPolicyAuto, "execution policy");
   o.max_batch = read_pod<int64_t>(in, path);
-  o.clamp_samples = read_pod<uint8_t>(in, path) != 0;
+  if (read_pod<uint8_t>(in, path) > 1) fail(path, "corrupt clamp flag");
   o.batch_max_requests = read_pod<int32_t>(in, path);
   o.batch_max_delay_us = read_pod<int64_t>(in, path);
   o.batch_max_rows = read_pod<int64_t>(in, path);

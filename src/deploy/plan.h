@@ -1,6 +1,6 @@
 // Static execution plans compiled from a recorded forward trace.
 //
-// `compile_trace` turns one traced graph forward (deploy/trace.h) into an
+// `compile_trace` turns one traced graph forward (deploy/recorder.h) into an
 // ExecutionPlan: a topologically ordered step list over a pre-sized buffer
 // arena. The compiler
 //   * captures every tensor the trace consumed but no traced op produced as
@@ -34,7 +34,7 @@
 #include <vector>
 
 #include "autograd/lowered.h"
-#include "deploy/trace.h"
+#include "deploy/recorder.h"
 #include "tensor/tensor.h"
 
 namespace ripple::deploy {

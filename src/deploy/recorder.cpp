@@ -1,4 +1,4 @@
-#include "deploy/trace.h"
+#include "deploy/recorder.h"
 
 namespace ripple::deploy {
 

@@ -1,4 +1,5 @@
-// Forward-trace recording for `deploy::compile`.
+// Forward-trace recording for `deploy::compile` — the plan compiler's
+// graph recorder (request tracing is serve/trace.h).
 //
 // A TraceRecorder is installed thread-locally (TraceScope) around one graph
 // forward run inside the exact serving environment (stream context, pack

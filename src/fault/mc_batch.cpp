@@ -21,56 +21,30 @@ Tensor replicate_batch(const Tensor& x, int t) {
   return out;
 }
 
-namespace {
-
-Shape replica_shape(const Tensor& stacked, int t) {
+void replica_moments_into(const Tensor& stacked, int t, float* mean,
+                          float* variance) {
   RIPPLE_CHECK(t >= 1) << "replica reduction needs t >= 1";
   RIPPLE_CHECK(stacked.rank() >= 1 && stacked.dim(0) % t == 0)
       << "stacked dim 0 (" << (stacked.rank() >= 1 ? stacked.dim(0) : 0)
       << ") not divisible into " << t << " replicas";
-  Shape shape = stacked.shape();
-  shape[0] /= t;
-  return shape;
-}
-
-}  // namespace
-
-Tensor replica_mean(const Tensor& stacked, int t) {
-  Tensor mean = Tensor::zeros(replica_shape(stacked, t));
-  const int64_t block = mean.numel();
+  const int64_t block = stacked.numel() / t;
+  const size_t bytes = sizeof(float) * static_cast<size_t>(block);
+  std::memset(mean, 0, bytes);
+  if (variance != nullptr) std::memset(variance, 0, bytes);
   const float* ps = stacked.data();
-  float* pm = mean.data();
   for (int r = 0; r < t; ++r) {
     const float* src = ps + static_cast<int64_t>(r) * block;
-    for (int64_t i = 0; i < block; ++i) pm[i] += src[i];
+    for (int64_t i = 0; i < block; ++i) mean[i] += src[i];
+    if (variance != nullptr)
+      for (int64_t i = 0; i < block; ++i) variance[i] += src[i] * src[i];
   }
   const float inv = 1.0f / static_cast<float>(t);
-  for (int64_t i = 0; i < block; ++i) pm[i] *= inv;
-  return mean;
-}
-
-ReplicaMoments replica_moments(const Tensor& stacked, int t) {
-  ReplicaMoments out;
-  out.mean = Tensor::zeros(replica_shape(stacked, t));
-  out.variance = Tensor::zeros(out.mean.shape());
-  const int64_t block = out.mean.numel();
-  const float* ps = stacked.data();
-  float* pm = out.mean.data();
-  float* pv = out.variance.data();
-  for (int r = 0; r < t; ++r) {
-    const float* src = ps + static_cast<int64_t>(r) * block;
-    for (int64_t i = 0; i < block; ++i) {
-      pm[i] += src[i];
-      pv[i] += src[i] * src[i];
-    }
-  }
-  const float inv = 1.0f / static_cast<float>(t);
+  for (int64_t i = 0; i < block; ++i) mean[i] *= inv;
+  if (variance == nullptr) return;
   for (int64_t i = 0; i < block; ++i) {
-    pm[i] *= inv;
-    const float var = pv[i] * inv - pm[i] * pm[i];
-    pv[i] = var > 0.0f ? var : 0.0f;
+    const float var = variance[i] * inv - mean[i] * mean[i];
+    variance[i] = var > 0.0f ? var : 0.0f;
   }
-  return out;
 }
 
 uint64_t layer_stream_seed(uint64_t base_seed, size_t layer_index) {

@@ -16,8 +16,9 @@
 // order T serial passes would consume them — so the batched and serial
 // paths sample identical masks for the same base seed and agree to float
 // rounding (the grouped conv GEMM tiles the two batch widths differently,
-// so last-ulp differences are possible; tests assert 1e-4 agreement). See
-// models/evaluate.h for the model-level drivers.
+// so last-ulp differences are possible; tests assert 1e-4 agreement). The
+// model-level entry points are serve::InferenceSession::mc_outputs and its
+// serial reference, mc_outputs_serial (serve/session.h).
 #pragma once
 
 #include <cstdint>
@@ -29,16 +30,13 @@ namespace ripple::fault {
 /// Tiles x [N, ...] t times along dim 0 -> [t·N, ...], replica-major.
 Tensor replicate_batch(const Tensor& x, int t);
 
-/// Mean over the t replica blocks of a stacked [t·N, ...] tensor -> [N, ...].
-Tensor replica_mean(const Tensor& stacked, int t);
-
-/// Per-element mean and across-replica variance (population, E[y²]−E[y]²,
-/// clamped at 0 against rounding) of a stacked [t·N, ...] tensor.
-struct ReplicaMoments {
-  Tensor mean;      // [N, ...]
-  Tensor variance;  // [N, ...]
-};
-ReplicaMoments replica_moments(const Tensor& stacked, int t);
+/// Across-replica mean and population variance (E[y²]−E[y]², clamped at 0
+/// against rounding) of a stacked [t·N, ...] tensor, written to
+/// caller-owned buffers of stacked.numel() / t floats each. `variance` may
+/// be null for the mean alone. Allocation-free: the serving session
+/// aggregates every prediction through this loop.
+void replica_moments_into(const Tensor& stacked, int t, float* mean,
+                          float* variance);
 
 /// Deterministic per-layer mask-stream seed for batched/serial MC parity.
 uint64_t layer_stream_seed(uint64_t base_seed, size_t layer_index);

@@ -2,7 +2,7 @@
 
 #include <cmath>
 
-#include "deploy/trace.h"
+#include "deploy/recorder.h"
 #include "tensor/ops.h"
 
 namespace ripple::quant {

@@ -1,11 +1,10 @@
-// Serving observability: dataset-level evaluation through a session (the
-// session-based replacements for the deprecated models/evaluate.h free
-// functions) and the lock-free counters of the async batching front door.
+// Serving observability: dataset-level evaluation through a session and
+// the lock-free counters of the async batching front door.
 //
 // Each dataset helper streams the test set through session.predict in
 // chunks of the session's batch size and aggregates the task metric; the
-// session owns the MC sampling (T, seed, policy), so the same session
-// reports the same number every time.
+// session owns the MC sampling (T, seed), so the same session reports the
+// same number every time.
 #pragma once
 
 #include <array>

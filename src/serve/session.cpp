@@ -1,6 +1,7 @@
 #include "serve/session.h"
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstring>
 
@@ -9,25 +10,16 @@
 #include "core/uncertainty.h"
 #include "data/dataset.h"
 #include "deploy/exec_backend.h"
-#include "deploy/trace.h"
+#include "deploy/recorder.h"
 #include "fault/mc_batch.h"
 #include "models/variants.h"
 #include "nn/dropout.h"
 #include "nn/noise.h"
 #include "serve/trace.h"
-#include "tensor/ops.h"
 
 namespace ripple::serve {
 
 namespace {
-
-Tensor entropy_tensor(const Tensor& mean_probs) {
-  const std::vector<double> h = core::per_sample_entropy(mean_probs);
-  Tensor out = Tensor::empty({static_cast<int64_t>(h.size())});
-  for (size_t i = 0; i < h.size(); ++i)
-    out.data()[i] = static_cast<float>(h[i]);
-  return out;
-}
 
 /// True when t already matches ref's shape with leading dim `rows`; the
 /// steady-state predict_into path must not construct a Shape (that would
@@ -148,12 +140,7 @@ InferenceSession::InferenceSession(models::TaskModel& model,
       << "InferenceSession needs mc_samples >= 1";
   RIPPLE_CHECK(options_.max_batch >= 1)
       << "InferenceSession needs max_batch >= 1";
-  samples_ = options_.clamp_samples
-                 ? models::mc_samples_for(model_.variant(), options_.mc_samples)
-                 : options_.mc_samples;
-  policy_ = options_.policy == ExecutionPolicy::kAuto
-                ? ExecutionPolicy::kBatched
-                : options_.policy;
+  samples_ = models::mc_samples_for(model_.variant(), options_.mc_samples);
   chunk_rows_ = std::max<int64_t>(1, options_.max_batch / samples_);
 
   // Freeze the model's serving state: eval statistics, MC sampling on, and
@@ -243,56 +230,46 @@ void InferenceSession::invalidate_packed_weights() const {
 
 Tensor InferenceSession::run_chunk(const Tensor& xc,
                                    int64_t chunk_offset) const {
-  const int64_t t = samples_;
-  if (policy_ == ExecutionPolicy::kSerial && t > 1) {
-    core::McStreamContext ctx(options_.seed, /*replicas=*/1,
-                              /*replica_offset=*/0, stream_slots_);
-    ctx.set_chunk_offset(chunk_offset);
-    Tensor stacked;
-    int64_t block = 0;
-    for (int64_t r = 0; r < t; ++r) {
-      ctx.rewind(r);
-      core::McStreamScope scope(ctx);
-      Tensor y = forward_cached(xc);
-      if (!stacked.defined()) {
-        Shape shape = y.shape();
-        shape[0] *= t;
-        stacked = Tensor::empty(shape);
-        block = y.numel();
-      }
-      std::memcpy(stacked.data() + r * block, y.data(),
-                  sizeof(float) * static_cast<size_t>(block));
-    }
-    return stacked;
-  }
+  Tensor out;
+  if (options_.compile && model_.deployed() &&
+      run_chunk_planned(xc, chunk_offset, &out))
+    return out;
   // Per-chunk execute spans attach to the request being traced on this
-  // thread (serve/trace.h): detail 1 = served from a compiled plan, 0 =
-  // graph path. Tracing off costs one thread-local read per chunk.
+  // thread (serve/trace.h): detail 0 = graph path (execute_plan records
+  // the plan path's). Tracing off costs one thread-local read per chunk.
   trace::TraceData* req = trace::active_request();
-  if (options_.compile && model_.deployed()) {
-    Tensor out;
-    if (req != nullptr) {
-      const auto exec_start = std::chrono::steady_clock::now();
-      if (run_chunk_planned(xc, chunk_offset, &out)) {
-        trace::Tracer::instance().record_span(
-            req, trace::Stage::kExecute, exec_start,
-            std::chrono::steady_clock::now(), /*detail=*/1);
-        return out;
-      }
-    } else if (run_chunk_planned(xc, chunk_offset, &out)) {
-      return out;
+  if (req == nullptr) return run_chunk_graph(xc, chunk_offset);
+  const auto exec_start = std::chrono::steady_clock::now();
+  out = run_chunk_graph(xc, chunk_offset);
+  trace::Tracer::instance().record_span(req, trace::Stage::kExecute,
+                                        exec_start,
+                                        std::chrono::steady_clock::now(),
+                                        /*detail=*/0);
+  return out;
+}
+
+Tensor InferenceSession::run_chunk_serial(const Tensor& xc,
+                                          int64_t chunk_offset) const {
+  const int64_t t = samples_;
+  core::McStreamContext ctx(options_.seed, /*replicas=*/1,
+                            /*replica_offset=*/0, stream_slots_);
+  ctx.set_chunk_offset(chunk_offset);
+  Tensor stacked;
+  int64_t block = 0;
+  for (int64_t r = 0; r < t; ++r) {
+    ctx.rewind(r);
+    core::McStreamScope scope(ctx);
+    Tensor y = forward_cached(xc);
+    if (!stacked.defined()) {
+      Shape shape = y.shape();
+      shape[0] *= t;
+      stacked = Tensor::empty(shape);
+      block = y.numel();
     }
+    std::memcpy(stacked.data() + r * block, y.data(),
+                sizeof(float) * static_cast<size_t>(block));
   }
-  if (req != nullptr) {
-    const auto exec_start = std::chrono::steady_clock::now();
-    Tensor y = run_chunk_graph(xc, chunk_offset);
-    trace::Tracer::instance().record_span(req, trace::Stage::kExecute,
-                                          exec_start,
-                                          std::chrono::steady_clock::now(),
-                                          /*detail=*/0);
-    return y;
-  }
-  return run_chunk_graph(xc, chunk_offset);
+  return stacked;
 }
 
 Tensor InferenceSession::run_chunk_graph(const Tensor& xc,
@@ -380,34 +357,52 @@ void release_pooled(PlanCacheEntry& e, std::unique_ptr<PlanPooled> pooled) {
 
 }  // namespace
 
+template <typename Consume>
+bool InferenceSession::execute_plan(PlanCacheEntry& e, const Tensor& xc,
+                                    Consume&& consume) const {
+  std::shared_ptr<const deploy::ExecutionPlan> plan;
+  {
+    std::lock_guard<std::mutex> lg(e.pool_mutex);
+    plan = e.plan;
+  }
+  if (plan == nullptr) return false;
+  // Traced requests get an execute span (detail 1 = plan path); the
+  // untraced steady state pays one thread-local read.
+  trace::TraceData* req = trace::active_request();
+  std::chrono::steady_clock::time_point exec_start;
+  if (req != nullptr) exec_start = std::chrono::steady_clock::now();
+  auto pooled = acquire_pooled(e, plan);
+  bool served = false;
+  {
+    deploy::ExecBackendScope backend_scope(backend_.get());
+    std::shared_lock<std::shared_mutex> lock(cache_mutex_);
+    // Invalidated mid-flight: the graph path re-warms the cache first.
+    if (pack_cache_.frozen()) {
+      PackCacheScope cache_scope(&pack_cache_);
+      consume(plan->execute(xc, *pooled->ctx), pooled->scratch);
+      served = true;
+    }
+  }
+  release_pooled(e, std::move(pooled));
+  if (served && req != nullptr) {
+    trace::Tracer::instance().record_span(req, trace::Stage::kExecute,
+                                          exec_start,
+                                          std::chrono::steady_clock::now(),
+                                          /*detail=*/1);
+  }
+  return served;
+}
+
 bool InferenceSession::run_chunk_planned(const Tensor& xc,
                                          int64_t chunk_offset,
                                          Tensor* out) const {
   PlanCache::EntryPtr e = plans_->find_or_create(xc.shape(), chunk_offset);
   if (e == nullptr) return false;
   const uint64_t fp = noise_fingerprint();
-
-  const auto execute = [&]() -> bool {
-    std::shared_ptr<const deploy::ExecutionPlan> plan;
-    {
-      std::lock_guard<std::mutex> lg(e->pool_mutex);
-      plan = e->plan;
-    }
-    if (plan == nullptr) return false;
-    auto pooled = acquire_pooled(*e, plan);
-    bool ok = false;
-    {
-      deploy::ExecBackendScope backend_scope(backend_.get());
-      std::shared_lock<std::shared_mutex> lock(cache_mutex_);
-      // Invalidated mid-flight: the graph path re-warms the cache first.
-      if (pack_cache_.frozen()) {
-        PackCacheScope cache_scope(&pack_cache_);
-        *out = plan->execute(xc, *pooled->ctx).clone();
-        ok = true;
-      }
-    }
-    release_pooled(*e, std::move(pooled));
-    return ok;
+  const auto execute = [&] {
+    return execute_plan(*e, xc, [out](const Tensor& stacked, Tensor&) {
+      *out = stacked.clone();
+    });
   };
 
   int st = e->state.load(std::memory_order_acquire);
@@ -496,14 +491,24 @@ void InferenceSession::compile_entry(PlanCacheEntry& e, const Tensor& xc,
 }
 
 Tensor InferenceSession::mc_outputs(const Tensor& x) const {
+  Tensor out = stack_chunks(x, &InferenceSession::run_chunk);
+  requests_.fetch_add(1, std::memory_order_relaxed);
+  rows_.fetch_add(static_cast<uint64_t>(x.dim(0)), std::memory_order_relaxed);
+  return out;
+}
+
+Tensor InferenceSession::mc_outputs_serial(const Tensor& x) const {
+  return stack_chunks(x, &InferenceSession::run_chunk_serial);
+}
+
+Tensor InferenceSession::stack_chunks(const Tensor& x,
+                                      ChunkRunner run) const {
   RIPPLE_CHECK(x.rank() >= 1 && x.dim(0) >= 1)
       << "predict needs a batched input, got shape "
       << shape_to_string(x.shape());
   const int64_t n = x.dim(0);
   const int64_t t = samples_;
-  requests_.fetch_add(1, std::memory_order_relaxed);
-  rows_.fetch_add(static_cast<uint64_t>(n), std::memory_order_relaxed);
-  if (n <= chunk_rows_) return run_chunk(x, /*chunk_offset=*/0);
+  if (n <= chunk_rows_) return (this->*run)(x, /*chunk_offset=*/0);
 
   // Split oversized requests into chunks and reassemble replica-major.
   // For the proposed variant this is indistinguishable from one giant pass
@@ -515,7 +520,7 @@ Tensor InferenceSession::mc_outputs(const Tensor& x) const {
   int64_t row_numel = 0;
   for (int64_t c0 = 0; c0 < n; c0 += chunk_rows_) {
     const int64_t cn = std::min(chunk_rows_, n - c0);
-    Tensor yc = run_chunk(data::slice_rows(x, c0, cn), /*chunk_offset=*/c0);
+    Tensor yc = (this->*run)(data::slice_rows(x, c0, cn), /*chunk_offset=*/c0);
     if (!out.defined()) {
       Shape shape = yc.shape();
       shape[0] = t * n;
@@ -530,42 +535,34 @@ Tensor InferenceSession::mc_outputs(const Tensor& x) const {
   return out;
 }
 
-Classification InferenceSession::aggregate_classification(
-    const Tensor& stacked, int64_t /*n*/) const {
-  RIPPLE_CHECK(stacked.rank() == 2)
-      << "classification expects [N,C] logits, model returned "
-      << shape_to_string(stacked.shape());
-  Tensor probs = ops::softmax_rows(stacked);
-  fault::ReplicaMoments moments =
-      fault::replica_moments(probs, static_cast<int>(samples_));
-  Classification out;
-  out.samples = samples_;
-  out.mean_probs = std::move(moments.mean);
-  out.variance = std::move(moments.variance);
-  out.entropy = entropy_tensor(out.mean_probs);
-  out.predictions = ops::argmax_rows(out.mean_probs);
-  return out;
+namespace {
+
+/// out's alternative T, switched to a fresh one when out holds another.
+template <typename T>
+T& holding(Prediction& out) {
+  if (T* held = std::get_if<T>(&out)) return *held;
+  return out.emplace<T>();
 }
 
-Regression InferenceSession::aggregate_regression(const Tensor& stacked) const {
-  fault::ReplicaMoments moments =
-      fault::replica_moments(stacked, static_cast<int>(samples_));
-  Regression out;
-  out.samples = samples_;
-  out.mean = std::move(moments.mean);
-  out.stddev = ops::map(moments.variance,
-                        [](float v) { return v > 0.0f ? std::sqrt(v) : 0.0f; });
-  return out;
-}
+}  // namespace
 
-Segmentation InferenceSession::aggregate_segmentation(
-    const Tensor& stacked) const {
-  Tensor probs = ops::map(
-      stacked, [](float v) { return 1.0f / (1.0f + std::exp(-v)); });
-  Segmentation out;
-  out.samples = samples_;
-  out.mean_probs = fault::replica_mean(probs, static_cast<int>(samples_));
-  return out;
+void InferenceSession::aggregate_into(const Tensor& stacked, Tensor& scratch,
+                                      Prediction& out) const {
+  switch (options_.task) {
+    case TaskKind::kClassification:
+      aggregate_classification_into(stacked, scratch,
+                                    holding<Classification>(out));
+      return;
+    case TaskKind::kRegression:
+      aggregate_regression_into(stacked, holding<Regression>(out));
+      return;
+    case TaskKind::kSegmentation:
+      aggregate_segmentation_into(stacked, scratch,
+                                  holding<Segmentation>(out));
+      return;
+  }
+  RIPPLE_CHECK(false) << "unknown task kind "
+                      << static_cast<int>(options_.task);
 }
 
 void InferenceSession::aggregate_classification_into(const Tensor& stacked,
@@ -577,8 +574,7 @@ void InferenceSession::aggregate_classification_into(const Tensor& stacked,
       << shape_to_string(stacked.shape());
   const int64_t tn = stacked.dim(0);
   const int64_t c = stacked.dim(1);
-  const int64_t t = samples_;
-  const int64_t n = tn / t;
+  const int64_t n = tn / samples_;
   // Softmax into the staging buffer — same loop as ops::softmax_rows.
   ensure_like(scratch, stacked, tn);
   {
@@ -597,73 +593,38 @@ void InferenceSession::aggregate_classification_into(const Tensor& stacked,
         orow[j] = static_cast<float>(orow[j] / denom);
     }
   }
-  // Across-replica moments — same accumulation as fault::replica_moments.
   ensure_like(out.mean_probs, stacked, n);
   ensure_like(out.variance, stacked, n);
-  const int64_t block = out.mean_probs.numel();
-  float* pm = out.mean_probs.data();
-  float* pv = out.variance.data();
-  std::memset(pm, 0, sizeof(float) * static_cast<size_t>(block));
-  std::memset(pv, 0, sizeof(float) * static_cast<size_t>(block));
-  const float* ps = scratch.data();
-  for (int64_t r = 0; r < t; ++r) {
-    const float* src = ps + r * block;
-    for (int64_t i = 0; i < block; ++i) {
-      pm[i] += src[i];
-      pv[i] += src[i] * src[i];
-    }
-  }
-  const float inv = 1.0f / static_cast<float>(t);
-  for (int64_t i = 0; i < block; ++i) {
-    pm[i] *= inv;
-    const float var = pv[i] * inv - pm[i] * pm[i];
-    pv[i] = var > 0.0f ? var : 0.0f;
-  }
+  fault::replica_moments_into(scratch, samples_, out.mean_probs.data(),
+                              out.variance.data());
   if (!out.entropy.defined() || out.entropy.rank() != 1 ||
       out.entropy.dim(0) != n)
     out.entropy = Tensor::empty({n});
   core::per_sample_entropy_into(out.mean_probs, out.entropy.data());
   out.predictions.resize(static_cast<size_t>(n));
   for (int64_t i = 0; i < n; ++i) {
-    const float* row = pm + i * c;
+    const float* row = out.mean_probs.data() + i * c;
     out.predictions[static_cast<size_t>(i)] =
         std::max_element(row, row + c) - row;
   }
-  out.samples = static_cast<int>(t);
+  out.samples = samples_;
 }
 
 void InferenceSession::aggregate_regression_into(const Tensor& stacked,
                                                  Regression& out) const {
-  const int64_t t = samples_;
-  const int64_t rows = stacked.dim(0) / t;
+  const int64_t rows = stacked.dim(0) / samples_;
   ensure_like(out.mean, stacked, rows);
   ensure_like(out.stddev, stacked, rows);
-  const int64_t block = out.mean.numel();
-  float* pm = out.mean.data();
-  float* pv = out.stddev.data();
-  std::memset(pm, 0, sizeof(float) * static_cast<size_t>(block));
-  std::memset(pv, 0, sizeof(float) * static_cast<size_t>(block));
-  const float* ps = stacked.data();
-  for (int64_t r = 0; r < t; ++r) {
-    const float* src = ps + r * block;
-    for (int64_t i = 0; i < block; ++i) {
-      pm[i] += src[i];
-      pv[i] += src[i] * src[i];
-    }
-  }
-  const float inv = 1.0f / static_cast<float>(t);
-  for (int64_t i = 0; i < block; ++i) {
-    pm[i] *= inv;
-    const float var = pv[i] * inv - pm[i] * pm[i];
-    pv[i] = var > 0.0f ? std::sqrt(var) : 0.0f;
-  }
-  out.samples = static_cast<int>(t);
+  fault::replica_moments_into(stacked, samples_, out.mean.data(),
+                              out.stddev.data());
+  float* sd = out.stddev.data();
+  for (int64_t i = 0; i < out.stddev.numel(); ++i) sd[i] = std::sqrt(sd[i]);
+  out.samples = samples_;
 }
 
 void InferenceSession::aggregate_segmentation_into(const Tensor& stacked,
                                                    Tensor& scratch,
                                                    Segmentation& out) const {
-  const int64_t t = samples_;
   ensure_like(scratch, stacked, stacked.dim(0));
   {
     const float* pl = stacked.data();
@@ -672,18 +633,10 @@ void InferenceSession::aggregate_segmentation_into(const Tensor& stacked,
     for (int64_t i = 0; i < total; ++i)
       po[i] = 1.0f / (1.0f + std::exp(-pl[i]));
   }
-  ensure_like(out.mean_probs, stacked, stacked.dim(0) / t);
-  const int64_t block = out.mean_probs.numel();
-  float* pm = out.mean_probs.data();
-  std::memset(pm, 0, sizeof(float) * static_cast<size_t>(block));
-  const float* ps = scratch.data();
-  for (int64_t r = 0; r < t; ++r) {
-    const float* src = ps + r * block;
-    for (int64_t i = 0; i < block; ++i) pm[i] += src[i];
-  }
-  const float inv = 1.0f / static_cast<float>(t);
-  for (int64_t i = 0; i < block; ++i) pm[i] *= inv;
-  out.samples = static_cast<int>(t);
+  ensure_like(out.mean_probs, stacked, stacked.dim(0) / samples_);
+  fault::replica_moments_into(scratch, samples_, out.mean_probs.data(),
+                              /*variance=*/nullptr);
+  out.samples = samples_;
 }
 
 void InferenceSession::predict_into(const Tensor& x, Prediction& out) const {
@@ -691,81 +644,23 @@ void InferenceSession::predict_into(const Tensor& x, Prediction& out) const {
       << "predict needs a batched input, got shape "
       << shape_to_string(x.shape());
   const int64_t n = x.dim(0);
-  if (options_.compile && model_.deployed() && n <= chunk_rows_ &&
-      !(policy_ == ExecutionPolicy::kSerial && samples_ > 1)) {
+  if (options_.compile && model_.deployed() && n <= chunk_rows_) {
     PlanCache::EntryPtr e = plans_->find(x.shape(), /*chunk_offset=*/0);
     if (e != nullptr &&
         e->state.load(std::memory_order_acquire) == PlanCacheEntry::kReady &&
-        e->fingerprint == noise_fingerprint()) {
-      std::shared_ptr<const deploy::ExecutionPlan> plan;
-      {
-        std::lock_guard<std::mutex> lg(e->pool_mutex);
-        plan = e->plan;
-      }
-      if (plan != nullptr) {
-        // Traced requests get a per-request execute span (detail 1 = plan
-        // path); untraced steady state pays one thread-local read.
-        trace::TraceData* req = trace::active_request();
-        std::chrono::steady_clock::time_point exec_start;
-        if (req != nullptr) exec_start = std::chrono::steady_clock::now();
-        auto pooled = acquire_pooled(*e, plan);
-        bool served = false;
-        {
-          deploy::ExecBackendScope backend_scope(backend_.get());
-          std::shared_lock<std::shared_mutex> lock(cache_mutex_);
-          if (pack_cache_.frozen()) {
-            PackCacheScope cache_scope(&pack_cache_);
-            const Tensor& stacked = plan->execute(x, *pooled->ctx);
-            switch (options_.task) {
-              case TaskKind::kClassification: {
-                auto* c = std::get_if<Classification>(&out);
-                if (c == nullptr) {
-                  out = Classification{};
-                  c = &std::get<Classification>(out);
-                }
-                aggregate_classification_into(stacked, pooled->scratch, *c);
-                break;
-              }
-              case TaskKind::kRegression: {
-                auto* r = std::get_if<Regression>(&out);
-                if (r == nullptr) {
-                  out = Regression{};
-                  r = &std::get<Regression>(out);
-                }
-                aggregate_regression_into(stacked, *r);
-                break;
-              }
-              case TaskKind::kSegmentation: {
-                auto* s = std::get_if<Segmentation>(&out);
-                if (s == nullptr) {
-                  out = Segmentation{};
-                  s = &std::get<Segmentation>(out);
-                }
-                aggregate_segmentation_into(stacked, pooled->scratch, *s);
-                break;
-              }
-            }
-            served = true;
-          }
-        }
-        release_pooled(*e, std::move(pooled));
-        if (served) {
-          if (req != nullptr) {
-            trace::Tracer::instance().record_span(
-                req, trace::Stage::kExecute, exec_start,
-                std::chrono::steady_clock::now(), /*detail=*/1);
-          }
-          requests_.fetch_add(1, std::memory_order_relaxed);
-          rows_.fetch_add(static_cast<uint64_t>(n),
-                          std::memory_order_relaxed);
-          return;
-        }
-      }
+        e->fingerprint == noise_fingerprint() &&
+        execute_plan(*e, x, [&](const Tensor& stacked, Tensor& scratch) {
+          aggregate_into(stacked, scratch, out);
+        })) {
+      requests_.fetch_add(1, std::memory_order_relaxed);
+      rows_.fetch_add(static_cast<uint64_t>(n), std::memory_order_relaxed);
+      return;
     }
   }
-  // No verified plan for this shape yet: the allocating path (which also
-  // compiles one for next time).
-  out = predict(x);
+  // No verified plan for this shape yet: the allocating path, which also
+  // compiles one for next time.
+  Tensor scratch;
+  aggregate_into(mc_outputs(x), scratch, out);
 }
 
 PlanInfo InferenceSession::plan_info(const Shape& input_shape,
@@ -830,10 +725,6 @@ PlanInfo InferenceSession::precompile(const Shape& input_shape) const {
     info.fallback_reason = "compilation disabled (SessionOptions::compile)";
     return info;
   }
-  if (policy_ == ExecutionPolicy::kSerial && samples_ > 1) {
-    info.fallback_reason = "serial execution policy serves from the graph";
-    return info;
-  }
   if (!model_.deployed()) {
     info.fallback_reason = "model not deployed (unstable weight storage)";
     return info;
@@ -854,32 +745,25 @@ PlanInfo InferenceSession::precompile(const Shape& input_shape) const {
 Classification InferenceSession::classify(const Tensor& x) const {
   RIPPLE_CHECK(options_.task == TaskKind::kClassification)
       << "classify() on a " << task_kind_name(options_.task) << " session";
-  return aggregate_classification(mc_outputs(x), x.dim(0));
+  return std::get<Classification>(predict(x));
 }
 
 Regression InferenceSession::regress(const Tensor& x) const {
   RIPPLE_CHECK(options_.task == TaskKind::kRegression)
       << "regress() on a " << task_kind_name(options_.task) << " session";
-  return aggregate_regression(mc_outputs(x));
+  return std::get<Regression>(predict(x));
 }
 
 Segmentation InferenceSession::segment(const Tensor& x) const {
   RIPPLE_CHECK(options_.task == TaskKind::kSegmentation)
       << "segment() on a " << task_kind_name(options_.task) << " session";
-  return aggregate_segmentation(mc_outputs(x));
+  return std::get<Segmentation>(predict(x));
 }
 
 Prediction InferenceSession::predict(const Tensor& x) const {
-  switch (options_.task) {
-    case TaskKind::kClassification:
-      return classify(x);
-    case TaskKind::kRegression:
-      return regress(x);
-    case TaskKind::kSegmentation:
-      return segment(x);
-  }
-  RIPPLE_CHECK(false) << "unknown task kind";
-  return Prediction{};
+  Prediction out;
+  predict_into(x, out);
+  return out;
 }
 
 namespace {

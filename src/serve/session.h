@@ -63,42 +63,28 @@ enum class TaskKind { kClassification, kRegression, kSegmentation };
 
 const char* task_kind_name(TaskKind kind);
 
-/// How the T Monte-Carlo samples are executed.
-///   kBatched — fold the T samples into the batch dimension: one forward
-///              pass, per-replica masks (fast path, see fault/mc_batch.h).
-///   kSerial  — T separate passes under the same mask streams; the
-///              reference path (agrees with kBatched to float rounding).
-///   kAuto    — currently kBatched; the knob exists so deployments can pin
-///              the reference path without an API change.
-enum class ExecutionPolicy { kBatched, kSerial, kAuto };
-
 struct SessionOptions {
   TaskKind task = TaskKind::kClassification;
   /// Stochastic samples T per uncertainty estimate. Deterministic variants
-  /// (Conventional) are clamped to 1 unless clamp_samples is false.
+  /// (Conventional) are clamped to 1 (models::mc_samples_for).
   int mc_samples = 8;
   /// Base seed of the deterministic per-layer mask streams. Fixed per
   /// session: the same input always yields the same prediction.
   uint64_t seed = 0x5eedf00dull;
-  ExecutionPolicy policy = ExecutionPolicy::kAuto;
   /// Upper bound on stacked rows (T·n) per forward pass; larger requests
-  /// are split into input chunks of max(1, max_batch / T) rows. Both
-  /// policies chunk identically so they sample identical masks. Chunking
-  /// is exact for the proposed variant (its affine masks are per-replica,
-  /// not per-row); element/spatial MC-Dropout masks are row-dependent, so
-  /// for those variants a chunked request is a different — equally valid,
-  /// still deterministic — Monte-Carlo draw than the unchunked one.
+  /// are split into input chunks of max(1, max_batch / T) rows;
+  /// mc_outputs_serial chunks identically so it samples identical masks.
+  /// Chunking is exact for the proposed variant (its affine masks are
+  /// per-replica, not per-row); element/spatial MC-Dropout masks are
+  /// row-dependent, so for those variants a chunked request is a
+  /// different — equally valid, still deterministic — Monte-Carlo draw
+  /// than the unchunked one.
   int64_t max_batch = 256;
-  /// Clamp mc_samples to 1 for deterministic variants (mc_samples_for).
-  /// The deprecated mc_forward_* shims disable this to preserve their
-  /// stack-t-replicas-regardless contract.
-  bool clamp_samples = true;
   /// Compile fused, zero-allocation execution plans per (input shape,
   /// chunk offset) and serve from them once each plan is verified
   /// bit-exact against the graph path on that shape (deploy/plan.h).
-  /// The graph path remains the fallback for unverified shapes, the
-  /// serial policy, and undeployed models. Disable to pin every request
-  /// to the graph oracle.
+  /// The graph path remains the fallback for unverified shapes and
+  /// undeployed models. Disable to pin every request to the graph oracle.
   bool compile = true;
 
   // ---- AsyncBatcher knobs (serve/batcher.h) --------------------------------
@@ -209,9 +195,10 @@ class InferenceSession {
   /// Zero-allocation prediction into caller-owned result storage: when a
   /// verified plan covers x's shape, the forward runs on the plan's arena
   /// and the aggregation reuses `out`'s tensors (steady state performs no
-  /// heap allocation). Falls back to `out = predict(x)` — compiling a plan
-  /// for next time — when no plan is ready. Results are bit-identical to
-  /// predict() either way.
+  /// heap allocation). When no plan is ready it serves from mc_outputs —
+  /// compiling a plan for next time — and aggregates with the same loops,
+  /// so results are bit-identical either way. predict, classify, regress,
+  /// segment and predict_many all run through here into a fresh result.
   void predict_into(const Tensor& x, Prediction& out) const;
 
   /// Traces, compiles and verifies a plan for `input_shape` (batch dim
@@ -241,9 +228,17 @@ class InferenceSession {
   Segmentation segment(const Tensor& x) const;
 
   /// The stacked raw model outputs [T·N, ...], replica-major — the
-  /// uncertainty estimate before aggregation. Building block of the
-  /// deprecated mc_forward_* shims and of cross-policy tests.
+  /// uncertainty estimate before aggregation: the T samples fold into the
+  /// batch dimension and each chunk runs as one forward pass.
   Tensor mc_outputs(const Tensor& x) const;
+
+  /// Reference implementation of mc_outputs, for tests: T separate graph
+  /// passes per chunk, replica r under a mask-stream context rewound to r,
+  /// stacked replica-major. It chunks like mc_outputs and samples the same
+  /// masks, so the two agree to float rounding (grouped GEMMs tile the two
+  /// batch widths differently; tests assert 1e-4). Never a serving path:
+  /// it bypasses compiled plans and is not counted as served.
+  Tensor mc_outputs_serial(const Tensor& x) const;
 
   /// Rebuilds the frozen packed-weight cache. Required after anything
   /// mutates the deployed weights in place (fault injection): the cache is
@@ -267,8 +262,6 @@ class InferenceSession {
   double modeled_analog_us_per_row() const;
   /// Effective stochastic samples T (after deterministic clamping).
   int samples() const { return samples_; }
-  /// Resolved execution policy (kAuto → kBatched).
-  ExecutionPolicy policy() const { return policy_; }
   /// Input rows per forward chunk: max(1, max_batch / T).
   int64_t chunk_rows() const { return chunk_rows_; }
 
@@ -281,12 +274,19 @@ class InferenceSession {
   }
 
  private:
+  using ChunkRunner = Tensor (InferenceSession::*)(const Tensor&,
+                                                   int64_t) const;
+  /// Splits x into chunk_rows_-row chunks, runs each through `run` and
+  /// reassembles the stacked [T·n, ...] outputs replica-major.
+  Tensor stack_chunks(const Tensor& x, ChunkRunner run) const;
   /// Runs one already-chunk-sized forward [n ≤ chunk_rows_] and returns
   /// the stacked [T·n, ...] outputs under this session's mask streams.
   /// `chunk_offset` is the chunk's starting row within its request (0 for
   /// unchunked) — row-dependent dropout masks mix it in so chunks never
   /// repeat masks.
   Tensor run_chunk(const Tensor& xc, int64_t chunk_offset) const;
+  /// mc_outputs_serial's chunk: T graph passes, one replica each.
+  Tensor run_chunk_serial(const Tensor& xc, int64_t chunk_offset) const;
   /// The graph oracle: replicate + forward under this chunk's stream
   /// context. Publishes the stacked input to an active TraceRecorder.
   Tensor run_chunk_graph(const Tensor& xc, int64_t chunk_offset) const;
@@ -294,6 +294,14 @@ class InferenceSession {
   /// it first if this thread wins the build race); false ⇒ graph path.
   bool run_chunk_planned(const Tensor& xc, int64_t chunk_offset,
                          Tensor* out) const;
+  /// Executes e's installed plan on xc: leases a pooled context, holds the
+  /// backend scope and the frozen pack cache, hands the stacked output and
+  /// the lease's aggregation scratch to `consume`, and records the execute
+  /// span. False when e has no plan or the pack cache was invalidated
+  /// mid-flight (the caller then serves from the graph).
+  template <typename Consume>
+  bool execute_plan(PlanCacheEntry& e, const Tensor& xc,
+                    Consume&& consume) const;
   /// Traces + compiles + verifies a plan into `e`; on any failure the
   /// entry is marked failed and the shape serves from the graph.
   void compile_entry(PlanCacheEntry& e, const Tensor& xc,
@@ -301,13 +309,12 @@ class InferenceSession {
   /// Forward under the pack cache; first call records + freezes it.
   Tensor forward_cached(const Tensor& stacked_or_chunk) const;
 
-  Classification aggregate_classification(const Tensor& stacked,
-                                          int64_t n) const;
-  Regression aggregate_regression(const Tensor& stacked) const;
-  Segmentation aggregate_segmentation(const Tensor& stacked) const;
-
-  /// Allocation-free aggregation mirrors (same arithmetic, caller-owned
-  /// outputs); `scratch` stages the softmax / sigmoid probabilities.
+  /// Aggregates stacked [T·n, ...] outputs into `out`, switching it to the
+  /// session task's alternative; the per-task loops reuse out's tensors
+  /// when their shapes already match. `scratch` stages the softmax /
+  /// sigmoid probabilities.
+  void aggregate_into(const Tensor& stacked, Tensor& scratch,
+                      Prediction& out) const;
   void aggregate_classification_into(const Tensor& stacked, Tensor& scratch,
                                      Classification& out) const;
   void aggregate_regression_into(const Tensor& stacked,
@@ -327,7 +334,6 @@ class InferenceSession {
   models::TaskModel& model_;
   SessionOptions options_;
   int samples_ = 1;
-  ExecutionPolicy policy_ = ExecutionPolicy::kBatched;
   int64_t chunk_rows_ = 1;
   size_t stream_slots_ = 0;
   std::vector<core::InvertedNorm*> inverted_;

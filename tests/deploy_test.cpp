@@ -540,6 +540,78 @@ TEST_F(ArtifactFileErrors, TruncatedTensorPayload) {
   EXPECT_THROW(deploy::load_artifact(path_), std::runtime_error);
 }
 
+TEST_F(ArtifactFileErrors, OutOfRangeEnumBytesAreRejected) {
+  // Re-saving under another seed changes only the 8 seed bytes, which
+  // locates the session options; every enum field sits at a fixed offset
+  // from them (variant config: variant, dropout_p, init kind, 4 floats,
+  // granularity, affine_first; then task, mc_samples, seed, policy,
+  // max_batch, clamp).
+  models::BinaryResNet model({.in_channels = 3, .classes = 10, .width = 4},
+                             {.variant = models::Variant::kProposed});
+  model.set_training(false);
+  model.deploy();
+  SessionOptions reseeded = options_for(TaskKind::kClassification);
+  reseeded.seed = 0x0123456789abcdefull;
+  const std::string other = temp_path("err_seed.rpla");
+  deploy::save_artifact(model, other, reseeded);
+  std::ifstream in(other, std::ios::binary);
+  const std::vector<char> other_bytes((std::istreambuf_iterator<char>(in)),
+                                      std::istreambuf_iterator<char>());
+  ASSERT_EQ(other_bytes.size(), bytes_.size());
+  size_t seed_at = 0;
+  while (seed_at < bytes_.size() && bytes_[seed_at] == other_bytes[seed_at])
+    ++seed_at;
+  ASSERT_GE(seed_at, 41u);
+  ASSERT_LT(seed_at + 21, bytes_.size());
+
+  struct Field {
+    const char* what;
+    std::ptrdiff_t offset;  // from the first seed byte
+  };
+  const Field fields[] = {{"variant", -41},
+                          {"affine init kind", -33},
+                          {"drop granularity", -13},
+                          {"task kind", -8},
+                          {"execution policy", 8},
+                          {"clamp flag", 20}};
+  const std::vector<char> clean = bytes_;
+  for (const Field& f : fields) {
+    // A low byte of 0x7f is out of range for every field, and a high byte
+    // of 0x80 makes the int32 fields negative.
+    for (const std::ptrdiff_t byte : {std::ptrdiff_t{0}, std::ptrdiff_t{3}}) {
+      if (byte == 3 && std::string(f.what) == "clamp flag") continue;
+      bytes_ = clean;
+      bytes_[seed_at + f.offset + byte] = byte == 0 ? '\x7f' : '\x80';
+      write_bytes(bytes_.size());
+      try {
+        deploy::load_artifact(path_);
+        ADD_FAILURE() << f.what << " byte " << byte << " was accepted";
+      } catch (const std::runtime_error& e) {
+        EXPECT_NE(std::string(e.what()).find(std::string("corrupt ") +
+                                             f.what),
+                  std::string::npos)
+            << e.what();
+      }
+    }
+  }
+
+  // The retired policy and clamp fields take any in-range legacy value
+  // (serial policy, clamp off) and are ignored: the session still runs
+  // the batched path with the variant's clamped T.
+  bytes_ = clean;
+  bytes_[seed_at + 8] = 1;   // policy: serial
+  bytes_[seed_at + 20] = 0;  // clamp: off
+  write_bytes(bytes_.size());
+  auto legacy = InferenceSession::open(path_);
+  bytes_ = clean;
+  write_bytes(bytes_.size());
+  auto current = InferenceSession::open(path_);
+  Rng rng(61);
+  Tensor x = Tensor::randn({2, 3, 16, 16}, rng);
+  expect_bit_equal(legacy->mc_outputs(x), current->mc_outputs(x),
+                   "legacy policy/clamp bytes are ignored");
+}
+
 TEST_F(ArtifactFileErrors, SpecMismatchOnLoadInto) {
   write_bytes(bytes_.size());
   models::BinaryResNet wider({.in_channels = 3, .classes = 10, .width = 6},

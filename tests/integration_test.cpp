@@ -5,12 +5,27 @@
 
 #include "data/synthetic_images.h"
 #include "fault/injector.h"
-#include "models/evaluate.h"
 #include "models/resnet.h"
 #include "models/trainer.h"
+#include "serve/metrics.h"
+#include "serve/session.h"
 
 namespace ripple::models {
 namespace {
+
+/// MC accuracy through a fresh session whose seed comes from global_rng(),
+/// so reseeding the global generator makes consecutive evaluations
+/// reproducible; each forward evaluates 64 inputs.
+double accuracy_mc(TaskModel& model, const data::ClassificationData& test,
+                   int mc_samples) {
+  serve::SessionOptions opts;
+  opts.task = serve::TaskKind::kClassification;
+  opts.mc_samples = mc_samples;
+  opts.seed = global_rng().next_u64();
+  opts.max_batch = 64 * mc_samples_for(model.variant(), mc_samples);
+  serve::InferenceSession session(model, opts);
+  return serve::accuracy(session, test);
+}
 
 struct Trained {
   std::unique_ptr<BinaryResNet> model;

@@ -9,7 +9,6 @@
 
 #include "core/inverted_norm.h"
 #include "core/mc_stream.h"
-#include "models/evaluate.h"
 #include "models/lstm_forecaster.h"
 #include "models/m5.h"
 #include "models/resnet.h"
@@ -21,9 +20,24 @@ namespace ripple {
 namespace {
 
 using fault::layer_stream_seed;
-using fault::replica_mean;
-using fault::replica_moments;
+using fault::replica_moments_into;
 using fault::replicate_batch;
+
+/// The stacked outputs [t·N, ...] of the batched MC fold and of its serial
+/// reference, from one session with T = t and x in a single chunk.
+struct BatchedAndSerial {
+  Tensor batched;
+  Tensor serial;
+};
+BatchedAndSerial batched_and_serial(models::TaskModel& model,
+                                    const Tensor& x, int t, uint64_t seed) {
+  serve::SessionOptions opts;
+  opts.mc_samples = t;
+  opts.seed = seed;
+  opts.max_batch = x.dim(0) * t;
+  serve::InferenceSession session(model, opts);
+  return {session.mc_outputs(x), session.mc_outputs_serial(x)};
+}
 
 TEST(McBatch, ReplicateBatchTilesReplicaMajor) {
   Tensor x({2, 3}, {1, 2, 3, 4, 5, 6});
@@ -36,25 +50,28 @@ TEST(McBatch, ReplicateBatchTilesReplicaMajor) {
 
 TEST(McBatch, ReplicaMeanAveragesBlocks) {
   Tensor stacked({4, 2}, {1, 2, 3, 4, 5, 6, 7, 8});  // t=2, n=2
-  Tensor mean = replica_mean(stacked, 2);
-  EXPECT_EQ(mean.shape(), Shape({2, 2}));
-  EXPECT_FLOAT_EQ(mean.at({0, 0}), 3.0f);
-  EXPECT_FLOAT_EQ(mean.at({0, 1}), 4.0f);
-  EXPECT_FLOAT_EQ(mean.at({1, 0}), 5.0f);
-  EXPECT_FLOAT_EQ(mean.at({1, 1}), 6.0f);
+  float mean[4];
+  replica_moments_into(stacked, 2, mean, /*variance=*/nullptr);
+  EXPECT_FLOAT_EQ(mean[0], 3.0f);
+  EXPECT_FLOAT_EQ(mean[1], 4.0f);
+  EXPECT_FLOAT_EQ(mean[2], 5.0f);
+  EXPECT_FLOAT_EQ(mean[3], 6.0f);
 }
 
 TEST(McBatch, ReplicaMomentsMatchDirectFormula) {
   Tensor stacked({3, 1}, {1.0f, 2.0f, 6.0f});  // t=3, n=1
-  auto mm = replica_moments(stacked, 3);
-  EXPECT_FLOAT_EQ(mm.mean.item(), 3.0f);
+  float mean = -1.0f;
+  float variance = -1.0f;
+  replica_moments_into(stacked, 3, &mean, &variance);
+  EXPECT_FLOAT_EQ(mean, 3.0f);
   // population variance: ((1-3)² + (2-3)² + (6-3)²)/3 = 14/3
-  EXPECT_NEAR(mm.variance.item(), 14.0f / 3.0f, 1e-5f);
+  EXPECT_NEAR(variance, 14.0f / 3.0f, 1e-5f);
 }
 
 TEST(McBatch, ReplicaShapeMismatchThrows) {
   Tensor stacked({5, 2});
-  EXPECT_THROW(replica_mean(stacked, 2), CheckError);
+  float mean[5];
+  EXPECT_THROW(replica_moments_into(stacked, 2, mean, nullptr), CheckError);
 }
 
 TEST(McBatch, LayerStreamSeedsAreDistinct) {
@@ -104,8 +121,7 @@ TEST(McBatch, ResNetBatchedMatchesSerial) {
   Tensor x = Tensor::randn({2, 3, 16, 16}, rng);
   const int t = 5;
   const uint64_t seed = 99;
-  Tensor batched = models::mc_forward_batched(model, x, t, seed);
-  Tensor serial = models::mc_forward_serial(model, x, t, seed);
+  const auto [batched, serial] = batched_and_serial(model, x, t, seed);
   ASSERT_EQ(batched.shape(), serial.shape());
   ASSERT_EQ(batched.dim(0), t * x.dim(0));
   for (int64_t i = 0; i < batched.numel(); ++i)
@@ -119,8 +135,7 @@ TEST(McBatch, M5BatchedMatchesSerial) {
   Rng rng(12);
   Tensor x = Tensor::randn({2, 1, 512}, rng);
   const int t = 3;
-  Tensor batched = models::mc_forward_batched(model, x, t, 7);
-  Tensor serial = models::mc_forward_serial(model, x, t, 7);
+  const auto [batched, serial] = batched_and_serial(model, x, t, 7);
   ASSERT_EQ(batched.shape(), serial.shape());
   for (int64_t i = 0; i < batched.numel(); ++i)
     ASSERT_NEAR(batched.data()[i], serial.data()[i], 1e-4f) << "at " << i;
@@ -133,8 +148,7 @@ TEST(McBatch, LstmBatchedMatchesSerial) {
   Rng rng(13);
   Tensor x = Tensor::randn({3, 12, 1}, rng);
   const int t = 4;
-  Tensor batched = models::mc_forward_batched(model, x, t, 21);
-  Tensor serial = models::mc_forward_serial(model, x, t, 21);
+  const auto [batched, serial] = batched_and_serial(model, x, t, 21);
   ASSERT_EQ(batched.shape(), serial.shape());
   for (int64_t i = 0; i < batched.numel(); ++i)
     ASSERT_NEAR(batched.data()[i], serial.data()[i], 1e-4f) << "at " << i;
@@ -212,8 +226,7 @@ TEST(McBatch, SpinDropModelBatchedMatchesSerial) {
   Rng rng(33);
   Tensor x = Tensor::randn({2, 3, 16, 16}, rng);
   const int t = 4;
-  Tensor batched = models::mc_forward_batched(model, x, t, 55);
-  Tensor serial = models::mc_forward_serial(model, x, t, 55);
+  const auto [batched, serial] = batched_and_serial(model, x, t, 55);
   ASSERT_EQ(batched.shape(), serial.shape());
   for (int64_t i = 0; i < batched.numel(); ++i)
     ASSERT_NEAR(batched.data()[i], serial.data()[i], 1e-4f) << "at " << i;
@@ -226,36 +239,43 @@ TEST(McBatch, SpatialSpinDropModelBatchedMatchesSerial) {
   Rng rng(34);
   Tensor x = Tensor::randn({2, 3, 16, 16}, rng);
   const int t = 3;
-  Tensor batched = models::mc_forward_batched(model, x, t, 66);
-  Tensor serial = models::mc_forward_serial(model, x, t, 66);
+  const auto [batched, serial] = batched_and_serial(model, x, t, 66);
   ASSERT_EQ(batched.shape(), serial.shape());
   for (int64_t i = 0; i < batched.numel(); ++i)
     ASSERT_NEAR(batched.data()[i], serial.data()[i], 1e-4f) << "at " << i;
 }
 
-TEST(McBatch, ConventionalReplicasAreIdentical) {
-  // The deterministic variant has no stochastic layers: every folded
-  // replica must be bit-identical to a plain forward.
+TEST(McBatch, ConventionalClampsToOneSample) {
+  // The deterministic variant has no stochastic layers: the session clamps
+  // T to 1 and its single "replica" is a plain forward.
   models::BinaryResNet model({.in_channels = 3, .classes = 10, .width = 4},
                              {.variant = models::Variant::kConventional});
   model.set_training(false);
   Rng rng(14);
   Tensor x = Tensor::randn({2, 3, 16, 16}, rng);
-  Tensor stacked = models::mc_forward_batched(model, x, 3, 1);
   Tensor plain = model.predict(x);
-  for (int r = 0; r < 3; ++r)
-    for (int64_t i = 0; i < plain.numel(); ++i)
-      ASSERT_NEAR(stacked.data()[r * plain.numel() + i], plain.data()[i],
-                  1e-4f);
+  serve::SessionOptions opts;
+  opts.mc_samples = 3;
+  opts.seed = 1;
+  serve::InferenceSession session(model, opts);
+  EXPECT_EQ(session.samples(), 1);
+  Tensor stacked = session.mc_outputs(x);
+  ASSERT_EQ(stacked.shape(), plain.shape());
+  for (int64_t i = 0; i < plain.numel(); ++i)
+    ASSERT_NEAR(stacked.data()[i], plain.data()[i], 1e-4f);
 }
 
-TEST(McBatch, ProbsMcBatchedAggregates) {
+TEST(McBatch, ClassifyAggregatesReplicas) {
   models::BinaryResNet model({.in_channels = 3, .classes = 10, .width = 4},
                              {.variant = models::Variant::kProposed});
   model.set_training(false);
   Rng rng(15);
   Tensor x = Tensor::randn({3, 3, 16, 16}, rng);
-  const core::McClassification mc = models::probs_mc_batched(model, x, 6, 2);
+  serve::SessionOptions opts;
+  opts.mc_samples = 6;
+  opts.seed = 2;
+  serve::InferenceSession session(model, opts);
+  const serve::Classification mc = session.classify(x);
   EXPECT_EQ(mc.samples, 6);
   ASSERT_EQ(mc.mean_probs.shape(), Shape({3, 10}));
   ASSERT_EQ(mc.variance.shape(), Shape({3, 10}));
@@ -317,9 +337,15 @@ TEST(McBatch, BatchedForwardRestoresLayerState) {
   model.set_training(false);
   Rng rng(16);
   Tensor x = Tensor::randn({1, 3, 16, 16}, rng);
-  (void)models::mc_forward_batched(model, x, 4, 3);
-  // After the scope exits the model must run plain single-pass inference
-  // again (replicas back to 1, mask streams cleared).
+  {
+    serve::SessionOptions opts;
+    opts.mc_samples = 4;
+    opts.seed = 3;
+    serve::InferenceSession session(model, opts);
+    (void)session.mc_outputs(x);
+  }
+  // After the session closes the model must run plain single-pass
+  // inference again (replicas back to 1, mask streams cleared).
   for (auto* l : model.inverted_norm_layers()) {
     EXPECT_EQ(l->mc_replicas(), 1);
     EXPECT_FALSE(l->mc_mode());

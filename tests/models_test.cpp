@@ -3,12 +3,13 @@
 #include <cmath>
 #include <filesystem>
 
-#include "models/evaluate.h"
 #include "models/lstm_forecaster.h"
 #include "models/m5.h"
 #include "models/resnet.h"
 #include "models/unet.h"
 #include "models/zoo.h"
+#include "serve/metrics.h"
+#include "serve/session.h"
 #include "tensor/ops.h"
 
 namespace ripple::models {
@@ -197,7 +198,10 @@ TEST(Evaluate, AccuracyOnSeparableToyData) {
   data::ClassificationData d;
   d.x = Tensor::randn({40, 3, 16, 16}, rng);
   for (int64_t i = 0; i < 40; ++i) d.y.push_back(i % 10);
-  const double acc = accuracy_mc(model, d, 1);
+  serve::SessionOptions opts;
+  opts.mc_samples = 1;
+  serve::InferenceSession session(model, opts);
+  const double acc = serve::accuracy(session, d);
   EXPECT_GE(acc, 0.0);
   EXPECT_LE(acc, 0.4);
 }

@@ -29,7 +29,6 @@ namespace {
 using deploy::Backend;
 using deploy::DeployOptions;
 using serve::Classification;
-using serve::ExecutionPolicy;
 using serve::InferenceSession;
 using serve::PlanInfo;
 using serve::Prediction;
@@ -214,15 +213,6 @@ TEST(Plan, FallbackReasonsAreReported) {
     PlanInfo info = session.precompile({1, 12, 1});
     EXPECT_FALSE(info.compiled);
     EXPECT_NE(info.fallback_reason.find("disabled"), std::string::npos)
-        << info.fallback_reason;
-  }
-  {
-    SessionOptions opts = options_for(TaskKind::kRegression, 4);
-    opts.policy = ExecutionPolicy::kSerial;
-    InferenceSession session(model, opts);
-    PlanInfo info = session.precompile({1, 12, 1});
-    EXPECT_FALSE(info.compiled);
-    EXPECT_NE(info.fallback_reason.find("serial"), std::string::npos)
         << info.fallback_reason;
   }
   {

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <memory>
 #include <tuple>
 
 #include "autograd/gradcheck.h"
@@ -10,10 +12,14 @@
 #include "core/inverted_norm.h"
 #include "data/synthetic_images.h"
 #include "data/transforms.h"
+#include "models/lstm_forecaster.h"
+#include "models/m5.h"
 #include "models/resnet.h"
 #include "models/trainer.h"
+#include "models/unet.h"
 #include "quant/bitcodec.h"
 #include "quant/quantizer.h"
+#include "serve/session.h"
 #include "tensor/ops.h"
 
 namespace ripple {
@@ -177,6 +183,136 @@ TEST(TrainerProperty, LossCurveIsFiniteAndBounded) {
     EXPECT_TRUE(std::isfinite(l));
     EXPECT_GT(l, 0.0);
     EXPECT_LT(l, 10.0);
+  }
+}
+
+// ---- serving session: randomized differential checks ----------------------
+
+/// A deployed zoo model with its task and per-row input shape.
+struct ZooDraw {
+  std::unique_ptr<models::TaskModel> model;
+  serve::TaskKind task;
+  Shape row;
+};
+
+ZooDraw draw_zoo_model(Rng& rng) {
+  const models::Variant variants[] = {
+      models::Variant::kConventional, models::Variant::kSpinDrop,
+      models::Variant::kSpatialSpinDrop, models::Variant::kProposed};
+  const models::VariantConfig vc{.variant = variants[rng.next_u64() % 4]};
+  ZooDraw d;
+  switch (rng.next_u64() % 4) {
+    case 0:
+      d.model = std::make_unique<models::BinaryResNet>(
+          models::BinaryResNet::Topology{
+              .in_channels = 3, .classes = 10, .width = 4},
+          vc);
+      d.task = serve::TaskKind::kClassification;
+      d.row = {3, 16, 16};
+      break;
+    case 1:
+      d.model = std::make_unique<models::M5>(
+          models::M5::Topology{.classes = 8, .width = 4, .input_length = 256},
+          vc);
+      d.task = serve::TaskKind::kClassification;
+      d.row = {1, 256};
+      break;
+    case 2:
+      d.model = std::make_unique<models::LstmForecaster>(
+          models::LstmForecaster::Topology{.hidden = 8, .window = 12}, vc);
+      d.task = serve::TaskKind::kRegression;
+      d.row = {12, 1};
+      break;
+    default:
+      d.model = std::make_unique<models::UNet>(
+          models::UNet::Topology{.base_channels = 4}, vc);
+      d.task = serve::TaskKind::kSegmentation;
+      d.row = {1, 16, 16};
+      break;
+  }
+  d.model->set_training(false);
+  d.model->deploy();
+  return d;
+}
+
+/// Every float of a prediction, in a fixed order, for bitwise comparison.
+std::vector<float> flatten(const serve::Prediction& p) {
+  std::vector<float> out;
+  const auto add = [&out](const Tensor& t) {
+    out.insert(out.end(), t.data(), t.data() + t.numel());
+  };
+  if (const auto* c = std::get_if<serve::Classification>(&p)) {
+    add(c->mean_probs);
+    add(c->variance);
+    add(c->entropy);
+    for (const int64_t k : c->predictions)
+      out.push_back(static_cast<float>(k));
+  } else if (const auto* r = std::get_if<serve::Regression>(&p)) {
+    add(r->mean);
+    add(r->stddev);
+  } else {
+    add(std::get<serve::Segmentation>(p).mean_probs);
+  }
+  return out;
+}
+
+bool bit_equal(const std::vector<float>& a, const std::vector<float>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), sizeof(float) * a.size()) == 0;
+}
+
+TEST(SessionProperty, RandomizedDifferential) {
+  // Each seed draws (zoo model and variant, rows n — up to past two
+  // chunks —, T, max_batch, compile) and checks the session's contracts:
+  // the batched fold agrees with its serial reference, predict and
+  // predict_into serve the same bits, and a second session under the same
+  // seed — compiled where the first ran on the graph, and vice versa —
+  // reproduces the first. The seed list is fixed, so the draws are too;
+  // together they take a few seconds.
+  for (uint64_t seed = 1; seed <= 200; ++seed) {
+    Rng rng(seed);
+    ZooDraw d = draw_zoo_model(rng);
+    serve::SessionOptions opts;
+    opts.task = d.task;
+    opts.mc_samples = 1 + static_cast<int>(rng.next_u64() % 6);
+    const int t = models::mc_samples_for(d.model->variant(), opts.mc_samples);
+    const int64_t chunk_rows = 1 + static_cast<int64_t>(rng.next_u64() % 3);
+    opts.max_batch = t * chunk_rows;
+    opts.compile = rng.next_u64() % 2 == 0;
+    opts.seed = rng.next_u64();
+    const int64_t n = 1 + static_cast<int64_t>(rng.next_u64() %
+                                               (2 * chunk_rows + 1));
+    Shape shape = d.row;
+    shape.insert(shape.begin(), n);
+    const Tensor x = Tensor::randn(shape, rng);
+    SCOPED_TRACE(::testing::Message()
+                 << "seed " << seed << ": " << d.model->name() << " "
+                 << models::variant_name(d.model->variant()) << " n=" << n
+                 << " T=" << opts.mc_samples << " max_batch="
+                 << opts.max_batch << " compile=" << opts.compile);
+
+    std::vector<float> first;
+    {
+      serve::InferenceSession session(*d.model, opts);
+      ASSERT_EQ(session.samples(), t);
+      ASSERT_EQ(session.chunk_rows(), chunk_rows);
+      const Tensor batched = session.mc_outputs(x);
+      const Tensor serial = session.mc_outputs_serial(x);
+      ASSERT_EQ(batched.shape(), serial.shape());
+      ASSERT_EQ(batched.dim(0), t * n);
+      for (int64_t i = 0; i < batched.numel(); ++i)
+        ASSERT_NEAR(batched.data()[i], serial.data()[i], 1e-4f) << "at " << i;
+
+      first = flatten(session.predict(x));
+      serve::Prediction into;
+      session.predict_into(x, into);  // fresh result
+      EXPECT_TRUE(bit_equal(first, flatten(into)));
+      session.predict_into(x, into);  // reused result storage
+      EXPECT_TRUE(bit_equal(first, flatten(into)));
+    }
+    opts.compile = !opts.compile;
+    serve::InferenceSession again(*d.model, opts);
+    EXPECT_TRUE(bit_equal(first, flatten(again.predict(x))));
   }
 }
 

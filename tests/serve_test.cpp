@@ -1,8 +1,7 @@
 // serve::InferenceSession — the thread-safe, uncertainty-aware serving API:
-// typed results for all four task types, batched-vs-serial policy parity,
-// equality with the deprecated evaluate.h helpers, micro-batching, and a
-// multi-threaded hammer that checks concurrent predicts are exact and
-// deterministic.
+// typed results for all four task types, batched-vs-serial parity,
+// micro-batching, and a multi-threaded hammer that checks concurrent
+// predicts are exact and deterministic.
 #include "serve/session.h"
 
 #include <gtest/gtest.h>
@@ -13,7 +12,6 @@
 #include <vector>
 
 #include "core/inverted_norm.h"
-#include "models/evaluate.h"
 #include "models/lstm_forecaster.h"
 #include "models/m5.h"
 #include "models/resnet.h"
@@ -24,20 +22,17 @@ namespace ripple {
 namespace {
 
 using serve::Classification;
-using serve::ExecutionPolicy;
 using serve::InferenceSession;
 using serve::Regression;
 using serve::Segmentation;
 using serve::SessionOptions;
 using serve::TaskKind;
 
-SessionOptions options_for(TaskKind task, int samples, uint64_t seed,
-                           ExecutionPolicy policy = ExecutionPolicy::kAuto) {
+SessionOptions options_for(TaskKind task, int samples, uint64_t seed) {
   SessionOptions opts;
   opts.task = task;
   opts.mc_samples = samples;
   opts.seed = seed;
-  opts.policy = policy;
   return opts;
 }
 
@@ -142,62 +137,20 @@ TEST(Serve, TypedEntryPointChecksTaskKind) {
   EXPECT_THROW(session.segment(x), CheckError);
 }
 
-// ---- policy parity and legacy-helper equality -----------------------------
+// ---- batched vs serial parity -------------------------------------------
 
-TEST(Serve, BatchedPolicyMatchesSerialOracle) {
+TEST(Serve, BatchedMatchesSerialOracle) {
   const uint64_t seed = 1234;
   const int t = 5;
   Rng rng(6);
   Tensor x = Tensor::randn({2, 3, 16, 16}, rng);
   models::BinaryResNet model(small_resnet(), variant());
-  Tensor batched;
-  {
-    InferenceSession session(
-        model, options_for(TaskKind::kClassification, t, seed,
-                           ExecutionPolicy::kBatched));
-    batched = session.mc_outputs(x);
-  }
-  Tensor serial;
-  {
-    InferenceSession session(
-        model, options_for(TaskKind::kClassification, t, seed,
-                           ExecutionPolicy::kSerial));
-    serial = session.mc_outputs(x);
-  }
+  InferenceSession session(model,
+                           options_for(TaskKind::kClassification, t, seed));
+  Tensor batched = session.mc_outputs(x);
   ASSERT_EQ(batched.dim(0), t * x.dim(0));
-  expect_tensors_near(batched, serial, 1e-4f, "batched vs serial policy");
-}
-
-TEST(Serve, SessionMatchesDeprecatedHelpers) {
-  // Acceptance: session outputs equal the old evaluate.h surface for the
-  // same seed, for the raw stacked outputs and the aggregated result.
-  const uint64_t seed = 777;
-  const int t = 4;
-  Rng rng(7);
-  Tensor x = Tensor::randn({2, 3, 16, 16}, rng);
-  models::BinaryResNet model(small_resnet(), variant());
-  Tensor session_out;
-  Classification session_mc;
-  {
-    InferenceSession session(
-        model, options_for(TaskKind::kClassification, t, seed,
-                           ExecutionPolicy::kBatched));
-    session_out = session.mc_outputs(x);
-    session_mc = session.classify(x);
-  }
-  Tensor legacy_batched = models::mc_forward_batched(model, x, t, seed);
-  Tensor legacy_serial = models::mc_forward_serial(model, x, t, seed);
-  expect_tensors_near(session_out, legacy_batched, 0.0f,
-                      "session vs legacy batched");
-  expect_tensors_near(session_out, legacy_serial, 1e-4f,
-                      "session vs legacy serial");
-  const core::McClassification legacy_mc =
-      models::probs_mc_batched(model, x, t, seed);
-  expect_tensors_near(session_mc.mean_probs, legacy_mc.mean_probs, 0.0f,
-                      "session vs legacy mean probs");
-  expect_tensors_near(session_mc.variance, legacy_mc.variance, 0.0f,
-                      "session vs legacy variance");
-  ASSERT_EQ(session_mc.predictions, legacy_mc.predictions);
+  expect_tensors_near(batched, session.mc_outputs_serial(x), 1e-4f,
+                      "batched vs serial");
 }
 
 TEST(Serve, SameSeedSameResultAcrossSessions) {
@@ -454,7 +407,7 @@ TEST(Serve, ConcurrentNoisyPredictsMatchSerialExecution) {
   model.noise()->multiplicative_std = 0.0f;
 }
 
-TEST(Serve, NoisyBatchedPolicyMatchesSerialPolicy) {
+TEST(Serve, NoisyBatchedMatchesSerial) {
   // Stream-bound noise follows the dropout layers' replica sub-stream
   // contract, so the batched MC fold and the serial reference sample the
   // same noise per replica.
@@ -463,21 +416,12 @@ TEST(Serve, NoisyBatchedPolicyMatchesSerialPolicy) {
   model.noise()->additive_std = 0.3f;
   Rng rng(23);
   Tensor x = Tensor::randn({2, 3, 16, 16}, rng);
-  Tensor batched;
   {
-    InferenceSession session(
-        model, options_for(TaskKind::kClassification, 5, 616,
-                           ExecutionPolicy::kBatched));
-    batched = session.mc_outputs(x);
+    InferenceSession session(model,
+                             options_for(TaskKind::kClassification, 5, 616));
+    expect_tensors_near(session.mc_outputs(x), session.mc_outputs_serial(x),
+                        1e-4f, "noisy batched vs serial");
   }
-  Tensor serial;
-  {
-    InferenceSession session(
-        model, options_for(TaskKind::kClassification, 5, 616,
-                           ExecutionPolicy::kSerial));
-    serial = session.mc_outputs(x);
-  }
-  expect_tensors_near(batched, serial, 1e-4f, "noisy batched vs serial");
   model.noise()->enabled = false;
   model.noise()->additive_std = 0.0f;
 }
