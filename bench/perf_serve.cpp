@@ -526,12 +526,10 @@ void BM_ModelServerSubmit(benchmark::State& state) {
   if (state.thread_index() == 0) {
     const int replicas = static_cast<int>(state.range(0));
     serve::ServerOptions sopts;
-    sopts.replicas = replicas;
+    // The fleet template's deploy (load_model's default) and 30 s deadline
+    // open the per-tenant units with the exact session the direct bench
+    // uses.
     sopts.cluster = bench_cluster_options(replicas);
-    // The fleet template's deploy seeds the per-tenant units; mirror it so
-    // the units open with the exact session the direct bench uses.
-    sopts.deploy = sopts.cluster.deploy;
-    sopts.default_timeout_us = 30'000'000;
     server = new serve::ModelServer(sopts);
     server->load_model("lstm-small", "1", cluster_artifact());
     server->register_tenant({.id = "bench", .seed_salt = 0});

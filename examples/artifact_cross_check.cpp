@@ -147,7 +147,7 @@ int do_verify(const std::string& dir) {
   // The v3 manifest, served through the multi-tenant front door: both
   // named entries must reproduce their saved references in this build.
   serve::ServerOptions so;
-  so.default_timeout_us = 30'000'000;
+  so.cluster.default_timeout_us = 30'000'000;
   serve::ModelServer server(so);
   server.load_model("xcheck", "1", dir + "/pair.rpla");
   server.register_tenant({.id = "ci", .seed_salt = 0});
@@ -229,8 +229,8 @@ int do_trace(const std::string& dir) {
   tracer.set_enabled(true);
 
   serve::ServerOptions so;
-  so.replicas = 2;
-  so.default_timeout_us = 30'000'000;
+  so.cluster.replicas = 2;
+  so.cluster.default_timeout_us = 30'000'000;
   serve::ModelServer server(so);
   server.load_model("traced", "1", dir + "/model.rpla");
   server.register_tenant({.id = "ci", .seed_salt = 0});

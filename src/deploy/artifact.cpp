@@ -3,6 +3,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <set>
 #include <sstream>
 
@@ -91,16 +92,30 @@ void write_variant(std::ostream& out, const models::VariantConfig& v) {
   write_pod(out, static_cast<uint8_t>(v.affine_first ? 1 : 0));
 }
 
-/// Reads an int32 enum field, rejecting values outside [0, last]: a
-/// corrupt byte must fail the load, not reach a switch as an unnamed
-/// enumerator.
+/// Reads a numeric field, rejecting values outside [lo, hi] with
+/// "corrupt <what>": a corrupt byte must fail the load, not reach a switch
+/// as an unnamed enumerator or ask a batcher for 2^31 threads.
+template <typename T>
+T read_in_range(std::istream& in, const std::string& path, T lo, T hi,
+                const char* what) {
+  const T v = read_pod<T>(in, path);
+  if (v < lo || v > hi) fail(path, std::string("corrupt ") + what);
+  return v;
+}
+
+/// Reads an int32 enum field in [0, last].
 template <typename Enum>
 Enum read_enum(std::istream& in, const std::string& path, Enum last,
                const char* what) {
-  const int32_t v = read_pod<int32_t>(in, path);
-  if (v < 0 || v > static_cast<int32_t>(last))
-    fail(path, std::string("corrupt ") + what);
-  return static_cast<Enum>(v);
+  return static_cast<Enum>(
+      read_in_range<int32_t>(in, path, 0, static_cast<int32_t>(last), what));
+}
+
+/// Reads a numeric field that must be ≥ lo.
+template <typename T>
+T read_at_least(std::istream& in, const std::string& path, T lo,
+                const char* what) {
+  return read_in_range<T>(in, path, lo, std::numeric_limits<T>::max(), what);
 }
 
 models::VariantConfig read_variant(std::istream& in,
@@ -149,15 +164,18 @@ serve::SessionOptions read_session_options(std::istream& in,
                                            uint32_t version) {
   serve::SessionOptions o;
   o.task = read_enum(in, path, serve::TaskKind::kSegmentation, "task kind");
-  o.mc_samples = read_pod<int32_t>(in, path);
+  o.mc_samples = read_at_least<int32_t>(in, path, 1, "mc_samples");
   o.seed = read_pod<uint64_t>(in, path);
   (void)read_enum(in, path, kLegacyPolicyAuto, "execution policy");
-  o.max_batch = read_pod<int64_t>(in, path);
+  o.max_batch = read_at_least<int64_t>(in, path, 1, "max_batch");
   if (read_pod<uint8_t>(in, path) > 1) fail(path, "corrupt clamp flag");
-  o.batch_max_requests = read_pod<int32_t>(in, path);
-  o.batch_max_delay_us = read_pod<int64_t>(in, path);
-  o.batch_max_rows = read_pod<int64_t>(in, path);
-  o.batcher_threads = read_pod<int32_t>(in, path);
+  o.batch_max_requests =
+      read_at_least<int32_t>(in, path, 1, "batch_max_requests");
+  o.batch_max_delay_us =
+      read_at_least<int64_t>(in, path, 0, "batch_max_delay_us");
+  o.batch_max_rows = read_at_least<int64_t>(in, path, 0, "batch_max_rows");
+  o.batcher_threads = read_in_range<int32_t>(
+      in, path, 1, serve::kMaxBatcherThreads, "batcher_threads");
   // Version 1 predates the adaptive-delay knob; keep its default (off).
   if (version >= 2) o.batch_adaptive_delay = read_pod<uint8_t>(in, path) != 0;
   return o;

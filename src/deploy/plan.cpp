@@ -844,6 +844,18 @@ const char* op_tag_group(OpTag tag) {
   }
 }
 
+void add_op_profile(std::vector<PlanOpProfile>& by_tag,
+                    const PlanOpProfile& op) {
+  for (PlanOpProfile& row : by_tag) {
+    if (row.tag != op.tag) continue;
+    row.calls += op.calls;
+    row.total_ns += op.total_ns;
+    return;
+  }
+  by_tag.push_back(op);
+  by_tag.back().step = -1;
+}
+
 void set_plan_profiling(bool on) {
   g_plan_profiling.store(on, std::memory_order_relaxed);
 }

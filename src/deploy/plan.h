@@ -83,6 +83,12 @@ struct PlanOpProfile {
   uint64_t total_ns = 0;
 };
 
+/// Adds `op` into the per-tag row of `by_tag` (appending the row, with
+/// step -1, on the tag's first appearance): the one aggregation behind a
+/// session's plans and a unit's replicas.
+void add_op_profile(std::vector<PlanOpProfile>& by_tag,
+                    const PlanOpProfile& op);
+
 struct PlanStep {
   OpTag tag = OpTag::kNone;
   // Operand ids: >= 0 indexes the buffer arena, < 0 a plan constant

@@ -22,8 +22,17 @@ int64_t us_between(Clock::time_point from, Clock::time_point to) {
 }  // namespace
 
 ClusterController::ClusterController(const std::string& artifact_path,
-                                     ClusterOptions options)
-    : options_(std::move(options)), artifact_path_(artifact_path) {
+                                     const ClusterOptions& options)
+    : ClusterController(
+          std::make_shared<const deploy::LoadedArtifact>(deploy::load_artifact(
+              artifact_path, options.deploy.manifest_entry)),
+          options) {}
+
+ClusterController::ClusterController(
+    std::shared_ptr<const deploy::LoadedArtifact> master,
+    ClusterOptions options)
+    : options_(std::move(options)) {
+  RIPPLE_CHECK(master != nullptr) << "ClusterController: null master";
   RIPPLE_CHECK(options_.replicas >= 1) << "ClusterController: replicas >= 1";
   RIPPLE_CHECK(options_.dispatch_threads >= 1)
       << "ClusterController: dispatch_threads >= 1";
@@ -32,28 +41,26 @@ ClusterController::ClusterController(const std::string& artifact_path,
   RIPPLE_CHECK(options_.max_attempts >= 1)
       << "ClusterController: max_attempts >= 1";
 
-  // One disk read serves the whole fleet: replicate the loaded artifact
-  // per replica, moving the original into the last one.
-  deploy::LoadedArtifact master =
-      deploy::load_artifact(artifact_path_, options_.deploy.manifest_entry);
+  // One loaded artifact serves the whole fleet; each replica opens its own
+  // copy. A replica turning Quarantined wakes the heartbeat (under mutex_:
+  // the heartbeat evaluates its wake predicate under it, so the
+  // notification cannot slip in between its check and its wait).
   const SessionOptions base = options_.deploy.session.has_value()
                                   ? *options_.deploy.session
-                                  : master.session_defaults;
+                                  : master->session_defaults;
+  const auto wake_heartbeat = [this] {
+    std::lock_guard lock(mutex_);
+    hb_cv_.notify_one();
+  };
   fleet_.reserve(static_cast<size_t>(options_.replicas));
   for (int i = 0; i < options_.replicas; ++i) {
     deploy::DeployOptions per = options_.deploy;
     SessionOptions session_options = base;
-    if (options_.per_replica_seeds) {
-      session_options.seed = base.seed + static_cast<uint64_t>(i);
-      per.crossbar.seed += static_cast<uint64_t>(i);
-    }
+    session_options.seed = base.seed + static_cast<uint64_t>(i);
+    per.crossbar.seed += static_cast<uint64_t>(i);
     per.session = session_options;
-    auto session = i + 1 < options_.replicas
-                       ? InferenceSession::open(deploy::replicate(master), per)
-                       : InferenceSession::open(std::move(master), per);
     fleet_.push_back(std::make_unique<Replica>(
-        i, std::move(session), artifact_path_, std::move(per),
-        options_.health));
+        i, master, std::move(per), options_.health, wake_heartbeat));
   }
 
   dispatchers_.reserve(static_cast<size_t>(options_.dispatch_threads));
@@ -72,12 +79,13 @@ std::future<Prediction> ClusterController::submit(Tensor input) {
 
 std::future<Prediction> ClusterController::submit(
     Tensor input, std::chrono::microseconds timeout) {
-  return submit(std::move(input), timeout, nullptr);
+  return submit(std::move(input),
+                timeout.count() > 0 ? Clock::now() + timeout : kNoDeadline,
+                nullptr);
 }
 
 std::future<Prediction> ClusterController::submit(
-    Tensor input, std::chrono::microseconds timeout,
-    trace::TraceContextPtr tctx) {
+    Tensor input, Clock::time_point deadline, trace::TraceContextPtr tctx) {
   // Self-create a cluster-owned context for untraced requests so direct
   // cluster users get timelines too. With tracing off this is the one
   // branch the submit path pays.
@@ -88,7 +96,6 @@ std::future<Prediction> ClusterController::submit(
   std::promise<Prediction> promise;
   std::future<Prediction> future = promise.get_future();
   const auto now = Clock::now();
-  const auto deadline = timeout.count() > 0 ? now + timeout : kNoDeadline;
 
   std::lock_guard lock(mutex_);
   if (closed_) {
@@ -100,6 +107,7 @@ std::future<Prediction> ClusterController::submit(
   // with no routable replica at all is not overload — those requests are
   // accepted and given their deadline to outlive the outage.
   const bool queue_full =
+      options_.queue_limit > 0 &&
       static_cast<int64_t>(queue_.size()) >= options_.queue_limit;
   const RoutingDecision d = queue_full ? RoutingDecision{} : route();
   if (queue_full || d.verdict == Status::kOverloaded) {
@@ -208,7 +216,9 @@ void ClusterController::dispatcher_loop() {
 Clock::time_point ClusterController::attempt_deadline_for(
     const Task& task, Clock::time_point now, int attempt) const {
   auto attempt_deadline = task.deadline;
-  if (options_.attempt_timeout_us > 0) {
+  if (fleet_.size() == 1) {
+    // No peer to re-route to: the attempt is the request.
+  } else if (options_.attempt_timeout_us > 0) {
     attempt_deadline =
         now + std::chrono::microseconds(options_.attempt_timeout_us);
     if (task.deadline != kNoDeadline) {
@@ -266,17 +276,20 @@ void ClusterController::serve_task(Task& task, FirstAttempt* first) {
   const auto resolve_latency = [&] {
     counters_.latency().record(us_between(task.enqueue, Clock::now()));
   };
-  const auto fail = [&](Status status, const std::string& what) {
-    if (status == Status::kTimeout) {
+  const auto fail_with = [&](bool timed_out, std::exception_ptr error) {
+    if (timed_out) {
       counters_.on_timeout();
     } else {
       counters_.on_failure();
     }
     resolve_latency();
-    task.promise.set_exception(
-        std::make_exception_ptr(ServeError(status, what)));
+    task.promise.set_exception(std::move(error));
     trace::Tracer::instance().finish_if(task.trace,
                                         trace::FinishLayer::kCluster);
+  };
+  const auto fail = [&](Status status, const std::string& what) {
+    fail_with(status == Status::kTimeout,
+              std::make_exception_ptr(ServeError(status, what)));
   };
   const auto backoff_sleep = [&](int64_t backoff_us) {
     auto wait = std::chrono::microseconds(backoff_us);
@@ -368,7 +381,9 @@ void ClusterController::serve_task(Task& task, FirstAttempt* first) {
     Replica& replica = *fleet_[d.replica];
     bool ready = false;
     if (dispatched) {
-      if (attempt_deadline == kNoDeadline) {
+      // A single replica's batcher enforces the request deadline at
+      // dispatch, so its verdict is awaited even past the deadline.
+      if (attempt_deadline == kNoDeadline || fleet_.size() == 1) {
         outcome.wait();
         ready = true;
       } else {
@@ -402,21 +417,32 @@ void ClusterController::serve_task(Task& task, FirstAttempt* first) {
                                               trace::FinishLayer::kCluster);
         }
         return;
-      } catch (...) {
+      } catch (const CheckError&) {
+        // The request broke a session precondition (bad shape, wrong
+        // task): every replica would reject it the same way, and the
+        // replica is not at fault. The caller gets the error as is.
         replica.end_attempt();
-        replica.on_failure(/*timed_out=*/false);
-        last_attempt_timed_out = false;
-        last_failed_replica = d.replica;
+        fail_with(/*timed_out=*/false, std::current_exception());
+        return;
+      } catch (const ServeError& e) {
+        if (fleet_.size() == 1 && e.status() == Status::kTimeout) {
+          // The request's own deadline expired in the batcher queue: a
+          // backlog, not a replica fault, and no time is left to retry.
+          replica.end_attempt();
+          fail_with(/*timed_out=*/true, std::current_exception());
+          return;
+        }
+      } catch (...) {
       }
-    } else {
-      // Attempt abandoned at its deadline (or never dispatched — replica
-      // closed under us): the future is discarded (a late result resolves
-      // dead shared state, harmlessly) and the request re-routes.
-      replica.end_attempt();
-      replica.on_failure(/*timed_out=*/dispatched);
-      last_attempt_timed_out = dispatched;
-      last_failed_replica = d.replica;
     }
+    // The attempt failed: it raised, was abandoned at its deadline, or was
+    // never dispatched (replica closed under us). An abandoned future is
+    // discarded (a late result resolves dead shared state, harmlessly) and
+    // the request re-routes.
+    last_attempt_timed_out = dispatched && !ready;
+    last_failed_replica = d.replica;
+    replica.end_attempt();
+    replica.on_failure(last_attempt_timed_out);
 
     ++attempt;
     if (attempt >= options_.max_attempts) {
@@ -436,13 +462,21 @@ void ClusterController::serve_task(Task& task, FirstAttempt* first) {
   }
 }
 
+bool ClusterController::any_quarantined() const {
+  for (const auto& replica : fleet_)
+    if (replica->state() == HealthState::kQuarantined) return true;
+  return false;
+}
+
 void ClusterController::heartbeat_loop() {
   const auto interval =
       std::chrono::microseconds(options_.heartbeat_interval_us);
   std::unique_lock lock(mutex_);
-  while (!closed_) {
-    hb_cv_.wait_for(lock, interval, [&] { return closed_; });
-    if (closed_) return;
+  for (;;) {
+    // Idle until a replica is quarantined, then one probe round per
+    // interval until none is.
+    hb_cv_.wait(lock, [&] { return closed_ || any_quarantined(); });
+    if (hb_cv_.wait_for(lock, interval, [&] { return closed_; })) return;
     lock.unlock();
     probe_quarantined();
     lock.lock();
@@ -480,8 +514,13 @@ void ClusterController::probe_quarantined() {
       if (options_.auto_restart &&
           replica.consecutive_probe_failures() >=
               options_.restart_after_probe_failures) {
-        replica.restart();
-        counters_.on_restart();
+        try {
+          replica.restart();
+          counters_.on_restart();
+        } catch (...) {
+          // The respawn failed (the replica is left as it was): it stays
+          // Quarantined and the next failed probes retry the restart.
+        }
       }
     }
   }

@@ -4,9 +4,9 @@
 // A single InferenceSession + AsyncBatcher is a single point of failure:
 // one wedged forward (an analog tile gone bad, a stalled backend) takes
 // the whole serving path with it. The controller runs N Replicas — each a
-// session opened from the *same* .rpla artifact under its own seed/fault
-// configuration, plus its own batcher — and turns their independent
-// failure domains into fleet-level robustness:
+// session replicated from the *same* loaded .rpla artifact and opened
+// under its own seed/fault configuration, plus its own batcher — and turns
+// their independent failure domains into fleet-level robustness:
 //
 //   • submit(x[, timeout]) → std::future<Prediction>, resolved **exactly
 //     once** no matter what the fleet does underneath: with a result on
@@ -20,8 +20,8 @@
 //   • Routing is load-aware power-of-two-choices: two candidates are
 //     drawn from the routable pool (Healthy preferred; Degraded only
 //     when no Healthy replica has capacity; Quarantined never) and the
-//     one with the lower load() — in-flight attempts + batcher queue
-//     depth — wins. RoutingDecision exposes the choice for tests.
+//     one with the lower load() — dispatched attempts not yet resolved —
+//     wins. RoutingDecision exposes the choice for tests.
 //
 //   • Failed attempts retry with exponential backoff on a *re-routed*
 //     replica, up to max_attempts within the request's deadline. The
@@ -29,8 +29,9 @@
 //     a crashing replica quarantines itself out of the pool after a few
 //     requests instead of eating every retry.
 //
-//   • Admission control sheds load instead of collapsing: when the
-//     controller queue is full, or every routable replica is saturated
+//   • Admission control (opt-in: queue_limit, max_inflight_per_replica)
+//     sheds load instead of collapsing: when the controller queue is
+//     full, or every routable replica is saturated
 //     (load ≥ max_inflight_per_replica), submit() returns an
 //     already-failed future with ServeError{kOverloaded} — the caller
 //     hears "back off" in microseconds rather than a timeout later. If
@@ -38,12 +39,27 @@
 //     still accepted: the fleet may heal within their deadline; that is
 //     the graceful-degradation path, not the overload path.
 //
-//   • A heartbeat thread snapshots NodeMetrics and probes Quarantined
-//     replicas with a canary input (ClusterOptions::probe_input, or the
-//     last successfully served input). probe_successes consecutive green
-//     probes return the replica to Healthy; restart_after_probe_failures
+//   • A request fault is not a replica fault: a CheckError from the
+//     session (a precondition violation — bad shape, wrong task) reaches
+//     the caller unchanged, with no retry and no health penalty.
+//
+//   • A fleet of one replica has no peer to re-route a slow attempt to,
+//     so it keeps the plain batcher's deadline contract: the attempt gets
+//     the request's whole deadline (attempt_timeout_us does not apply),
+//     the batcher's dispatch-time check is the only cancellation point (a
+//     request that starts in time is served even if it finishes late),
+//     and an expired request resolves kTimeout without counting against
+//     the replica's health.
+//
+//   • A heartbeat thread sleeps until some replica is Quarantined, then
+//     probes the quarantined ones every heartbeat_interval_us with a canary
+//     input (ClusterOptions::probe_input, or the last successfully served
+//     input) until none is left. probe_successes consecutive green probes
+//     return the replica to Healthy; restart_after_probe_failures
 //     consecutive red ones trigger a hot restart — kill the session,
-//     respawn it from the artifact (auto_restart).
+//     respawn it from the in-memory master (auto_restart). A replica
+//     wakes the heartbeat itself on turning Quarantined, however the
+//     failure reached it.
 //
 // close() (and the destructor) drains: queued requests are still served,
 // then dispatchers join, then the replicas close. Every future ever
@@ -74,14 +90,13 @@ namespace ripple::serve {
 
 struct ClusterOptions {
   /// Fleet size (≥ 1).
-  int replicas = 2;
+  int replicas = 1;
   /// How each replica opens the artifact (backend, session overrides,
-  /// crossbar fault knobs). With per_replica_seeds, replica i serves under
-  /// session seed base+i and crossbar seed base+i — the fleet is a
-  /// Monte-Carlo ensemble of differently-faulted chip instances, matching
-  /// the paper's chip-to-chip variation model.
+  /// crossbar fault knobs). Replica i serves under session seed base+i and
+  /// crossbar seed base+i — the fleet is a Monte-Carlo ensemble of
+  /// differently-faulted chip instances, matching the paper's chip-to-chip
+  /// variation model (replica 0 serves the base seeds).
   deploy::DeployOptions deploy;
-  bool per_replica_seeds = true;
 
   /// Dispatcher threads; each owns one accepted request end-to-end, so
   /// dispatch_threads × dispatch_chunk bounds cluster-level concurrency
@@ -99,7 +114,8 @@ struct ClusterOptions {
   int64_t default_timeout_us = 2'000'000;
   /// Per-attempt budget before the attempt is abandoned and re-routed
   /// (stall detection). 0 = split the remaining deadline evenly across the
-  /// remaining attempts.
+  /// remaining attempts. Neither applies at replicas = 1: the one attempt
+  /// gets the whole deadline (see the header comment).
   int64_t attempt_timeout_us = 0;
   /// Attempts per request (first try + retries), each on a fresh route.
   int max_attempts = 3;
@@ -109,9 +125,11 @@ struct ClusterOptions {
 
   /// Admission control: a routable replica with load() at this bound is
   /// saturated; all routable replicas saturated ⇒ shed (kOverloaded).
-  int64_t max_inflight_per_replica = 64;
-  /// Controller queue bound (accepted, waiting for a dispatcher).
-  int64_t queue_limit = 1024;
+  /// 0 = no bound (default).
+  int64_t max_inflight_per_replica = 0;
+  /// Controller queue bound (accepted, waiting for a dispatcher); a full
+  /// queue sheds (kOverloaded). 0 = no bound (default).
+  int64_t queue_limit = 0;
 
   HealthPolicy health;
   int64_t heartbeat_interval_us = 2000;
@@ -156,7 +174,8 @@ class ClusterCounters {
   /// Rejected at admission with kOverloaded (their futures still resolve).
   uint64_t shed() const { return shed_.load(relaxed); }
   uint64_t succeeded() const { return succeeded_.load(relaxed); }
-  /// Resolved with kReplicaDown (attempts exhausted on failures).
+  /// Resolved with kReplicaDown (attempts exhausted on failures), or with
+  /// the request's own CheckError (a request fault, never retried).
   uint64_t failed() const { return failed_.load(relaxed); }
   /// Resolved with kTimeout (deadline expired or attempts timed out).
   uint64_t timeouts() const { return timeouts_.load(relaxed); }
@@ -166,6 +185,11 @@ class ClusterCounters {
   uint64_t probe_failures() const { return probe_failures_.load(relaxed); }
   /// Hot restarts triggered by the heartbeat (manual ones excluded).
   uint64_t restarts() const { return restarts_.load(relaxed); }
+  /// Every accepted request's resolution: succeeded + failed + timeouts +
+  /// shed (== submitted() once the cluster is closed).
+  uint64_t resolved() const {
+    return succeeded() + failed() + timeouts() + shed();
+  }
 
   /// End-to-end submit-to-resolution latency of every accepted request
   /// (successes and typed failures alike; shed requests excluded).
@@ -189,10 +213,16 @@ class ClusterCounters {
 
 class ClusterController {
  public:
-  /// Loads the artifact once, replicates it per replica
-  /// (deploy::replicate), opens each under its per-replica configuration,
-  /// and starts the dispatcher pool + heartbeat.
-  ClusterController(const std::string& artifact_path, ClusterOptions options);
+  /// Loads the artifact once (the manifest entry options.deploy names) and
+  /// builds the fleet from it, as the constructor below does.
+  ClusterController(const std::string& artifact_path,
+                    const ClusterOptions& options);
+  /// Builds the fleet from an already-loaded artifact: replicates `master`
+  /// per replica (deploy::replicate), opens each under its per-replica
+  /// configuration, and starts the dispatcher pool + heartbeat. Restarts
+  /// replicate `master` again; the artifact file is never reread.
+  ClusterController(std::shared_ptr<const deploy::LoadedArtifact> master,
+                    ClusterOptions options);
   ~ClusterController();
   ClusterController(const ClusterController&) = delete;
   ClusterController& operator=(const ClusterController&) = delete;
@@ -205,13 +235,15 @@ class ClusterController {
   std::future<Prediction> submit(Tensor input,
                                  std::chrono::microseconds timeout);
 
-  /// Same, carrying an upstream trace context (serve/trace.h): the cluster
-  /// appends queue-wait/dispatch/resolve spans (the winning replica's
-  /// batcher adds its own), and finishes cluster-owned contexts after the
-  /// task promise resolves. Null `tctx` with tracing enabled self-creates
-  /// one, so direct cluster users get timelines without a ModelServer.
+  /// Same, with an absolute deadline (time_point::max() = none; a deadline
+  /// already past times out promptly), carrying an upstream trace context
+  /// (serve/trace.h): the cluster appends queue-wait/dispatch/resolve
+  /// spans (the winning replica's batcher adds its own), and finishes
+  /// cluster-owned contexts after the task promise resolves. Null `tctx`
+  /// with tracing enabled self-creates one, so direct cluster users get
+  /// timelines without a ModelServer.
   std::future<Prediction> submit(Tensor input,
-                                 std::chrono::microseconds timeout,
+                                 std::chrono::steady_clock::time_point deadline,
                                  trace::TraceContextPtr tctx);
 
   /// One load-aware power-of-two-choices routing verdict over the current
@@ -222,7 +254,7 @@ class ClusterController {
   /// again only as the pool of last resort).
   RoutingDecision route(int exclude = -1) const;
 
-  /// Manual hot restart of replica i (kill → respawn from the artifact).
+  /// Manual hot restart of replica i (kill → respawn from the master).
   void restart_replica(int i);
 
   /// Drains queued requests, joins dispatchers + heartbeat, closes the
@@ -270,17 +302,19 @@ class ClusterController {
   void serve_task(Task& task, FirstAttempt* first = nullptr);
   /// Route + submit attempt 0 of `task` without blocking on the result.
   void prime_attempt(Task& task, FirstAttempt& fa);
-  /// Attempt deadline: the configured per-attempt budget, or an even
-  /// split of the remaining deadline across the remaining attempts.
+  /// Attempt deadline: the request's own deadline for a single replica,
+  /// else the configured per-attempt budget, or an even split of the
+  /// remaining deadline across the remaining attempts.
   std::chrono::steady_clock::time_point attempt_deadline_for(
       const Task& task, std::chrono::steady_clock::time_point now,
       int attempt) const;
+  /// Caller holds mutex_ (the heartbeat's wake predicate).
+  bool any_quarantined() const;
   void probe_quarantined();
   /// A probe input, or an empty tensor when none is available yet.
   Tensor probe_input();
 
   const ClusterOptions options_;
-  const std::string artifact_path_;
   std::vector<std::unique_ptr<Replica>> fleet_;
 
   mutable std::mutex mutex_;  // queue_ + closed_
@@ -291,7 +325,7 @@ class ClusterController {
   std::vector<std::thread> dispatchers_;
   std::thread heartbeat_;
   /// Separate from cv_ so per-submit notifications don't wake the
-  /// heartbeat into premature probe rounds (waits on mutex_ too).
+  /// heartbeat (waits on mutex_ too); notified on quarantine and close.
   std::condition_variable hb_cv_;
   std::mutex join_mutex_;  // serializes concurrent close() calls
 

@@ -90,12 +90,6 @@ uint64_t LatencyHistogram::bucket(size_t b) const {
   return buckets_[b].load(relaxed);
 }
 
-void LatencyHistogram::merge_from(const LatencyHistogram& other) {
-  for (size_t b = 0; b < kBuckets; ++b)
-    buckets_[b].fetch_add(other.buckets_[b].load(relaxed), relaxed);
-  total_us_.fetch_add(other.total_us_.load(relaxed), relaxed);
-}
-
 void LatencyHistogram::reset() {
   for (auto& b : buckets_) b.store(0, relaxed);
   total_us_.store(0, relaxed);

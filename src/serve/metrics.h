@@ -50,11 +50,6 @@ class LatencyHistogram {
   double p99() const { return percentile(99.0); }
   uint64_t bucket(size_t b) const;
 
-  /// Accumulates another histogram's counts into this one (cluster-wide
-  /// views merge the per-replica histograms). Concurrent records on either
-  /// side stay consistent bucket-wise (relaxed snapshot).
-  void merge_from(const LatencyHistogram& other);
-
   /// Zeros every bucket and the running sum. Not atomic as a whole: a
   /// record() racing a reset() lands entirely in the old or the new
   /// generation per field, so a subsequent snapshot may briefly show a
@@ -71,15 +66,24 @@ class LatencyHistogram {
   /// and `count` is *derived* from their sum, so a snapshot is always
   /// internally consistent (count == Σ buckets — cumulative le-buckets
   /// never decrease and `+Inf` equals `_count`, which Prometheus requires).
-  /// Concurrent record()/merge_from() calls never lose or double-count a
-  /// sample, but a snapshot taken mid-record may include a sample's bucket
-  /// increment without its total_us (or vice versa), skewing mean_us by at
-  /// most the in-flight samples. Snapshots are monotone: a later snapshot's
+  /// Concurrent record() calls never lose or double-count a sample, but a
+  /// snapshot taken mid-record may include a sample's bucket increment
+  /// without its total_us (or vice versa), skewing mean_us by at most the
+  /// in-flight samples. Snapshots are monotone: a later snapshot's
   /// per-bucket counts are ≥ an earlier one's (absent reset()).
   struct Snapshot {
     std::array<uint64_t, kBuckets> buckets{};
     uint64_t total_us = 0;
     uint64_t count = 0;
+
+    /// Adds another snapshot's samples (tenant rollups across units, unit
+    /// rows across replicas). Plain values: the result keeps count == Σ
+    /// buckets.
+    void merge(const Snapshot& other) {
+      for (size_t b = 0; b < kBuckets; ++b) buckets[b] += other.buckets[b];
+      total_us += other.total_us;
+      count += other.count;
+    }
   };
   Snapshot snapshot() const;
 

@@ -190,11 +190,10 @@ std::string MetricsExporter::render() const {
                      unit_labels(u), u.analog);
   }
 
-  out << "# HELP ripple_unit_cluster_requests_total Fleet outcomes for "
-         "cluster-mode serving units.\n"
+  out << "# HELP ripple_unit_cluster_requests_total Fleet outcomes per "
+         "serving unit.\n"
       << "# TYPE ripple_unit_cluster_requests_total counter\n";
   for (const UnitMetricsRow& u : units) {
-    if (!u.cluster) continue;
     const std::string labels = unit_labels(u);
     out << "ripple_unit_cluster_requests_total{" << labels
         << ",outcome=\"succeeded\"} " << u.cluster_succeeded << "\n"
@@ -205,14 +204,12 @@ std::string MetricsExporter::render() const {
         << "ripple_unit_cluster_requests_total{" << labels
         << ",outcome=\"retried\"} " << u.cluster_retries << "\n";
   }
-  out << "# HELP ripple_unit_cluster_restarts_total Replica restarts for "
-         "cluster-mode serving units.\n"
+  out << "# HELP ripple_unit_cluster_restarts_total Replica restarts per "
+         "serving unit.\n"
       << "# TYPE ripple_unit_cluster_restarts_total counter\n";
-  for (const UnitMetricsRow& u : units) {
-    if (!u.cluster) continue;
+  for (const UnitMetricsRow& u : units)
     out << "ripple_unit_cluster_restarts_total{" << unit_labels(u) << "} "
         << u.cluster_restarts << "\n";
-  }
 
   // ---- request tracing (serve/trace.h) -----------------------------------
   const trace::Tracer& tracer = trace::Tracer::instance();
@@ -302,11 +299,10 @@ std::string MetricsExporter::render() const {
     out << "ripple_unit_uncertainty_drift{" << unit_labels(u) << "} "
         << u.uncertainty.drift << "\n";
   out << "# HELP ripple_replica_uncertainty_drift Entropy drift per replica "
-         "of cluster-mode units — a single fault-injected replica stands "
+         "of each serving unit — a single fault-injected replica stands "
          "out here while unit-level aggregates stay muted.\n"
       << "# TYPE ripple_replica_uncertainty_drift gauge\n";
   for (const UnitMetricsRow& u : units) {
-    if (!u.cluster) continue;
     const std::string labels = unit_labels(u);
     for (size_t r = 0; r < u.replica_drift.size(); ++r)
       out << "ripple_replica_uncertainty_drift{" << labels << ",replica=\""

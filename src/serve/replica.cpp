@@ -19,15 +19,16 @@ const char* health_state_name(HealthState state) {
   return "?";
 }
 
-Replica::Replica(int id, std::unique_ptr<InferenceSession> session,
-                 std::string artifact_path, deploy::DeployOptions options,
-                 HealthPolicy policy)
+Replica::Replica(int id, std::shared_ptr<const deploy::LoadedArtifact> master,
+                 deploy::DeployOptions options, HealthPolicy policy,
+                 std::function<void()> on_quarantined)
     : id_(id),
-      artifact_path_(std::move(artifact_path)),
+      master_(std::move(master)),
       options_(std::move(options)),
-      policy_(policy) {
-  RIPPLE_CHECK(session != nullptr) << "Replica: null session";
-  session_ = std::move(session);
+      policy_(policy),
+      on_quarantined_(std::move(on_quarantined)) {
+  RIPPLE_CHECK(master_ != nullptr) << "Replica: null master";
+  session_ = InferenceSession::open(deploy::replicate(*master_), options_);
   batcher_ = std::make_unique<AsyncBatcher>(*session_);
 }
 
@@ -58,12 +59,7 @@ void Replica::set_forward_hook(std::function<void(int64_t)> hook) {
 }
 
 int64_t Replica::load() const {
-  int64_t depth = 0;
-  {
-    std::shared_lock lock(session_mutex_);
-    if (batcher_) depth = batcher_->counters().queue_depth();
-  }
-  return inflight_.load(std::memory_order_relaxed) + depth;
+  return inflight_.load(std::memory_order_relaxed);
 }
 
 HealthState Replica::state() const {
@@ -87,18 +83,10 @@ NodeMetrics Replica::metrics() const {
       m.p50_latency_us = h.p50();
       m.p95_latency_us = h.p95();
       m.p99_latency_us = h.p99();
-      const LatencyHistogram& a = batcher_->counters().analog_latency();
-      m.analog_p50_us = a.p50();
-      m.analog_p95_us = a.p95();
-      m.analog_p99_us = a.p99();
-      const UncertaintyMonitor::Snapshot u =
-          batcher_->counters().uncertainty().snapshot();
-      m.uncertainty_count = u.count;
-      m.entropy_fast = u.entropy_fast;
-      m.entropy_baseline = u.entropy_baseline;
-      m.variance_fast = u.variance_fast;
-      m.variance_baseline = u.variance_baseline;
-      m.uncertainty_drift = u.drift;
+      m.analog = batcher_->counters().analog_latency().snapshot();
+      m.batches = batcher_->counters().batches();
+      m.uncertainty = batcher_->counters().uncertainty().snapshot();
+      m.plan_ops = session_->plan_op_profiles();
     }
   }
   {
@@ -140,14 +128,19 @@ void Replica::on_success(double latency_us) {
 
 void Replica::on_failure(bool timed_out) {
   (timed_out ? timeouts_ : failures_).fetch_add(1, std::memory_order_relaxed);
-  std::lock_guard lock(state_mutex_);
-  ++consecutive_failures_;
-  if (consecutive_failures_ >= policy_.quarantine_after) {
-    state_ = HealthState::kQuarantined;
-  } else if (consecutive_failures_ >= policy_.degraded_after &&
-             state_ == HealthState::kHealthy) {
-    state_ = HealthState::kDegraded;
+  bool quarantined = false;
+  {
+    std::lock_guard lock(state_mutex_);
+    ++consecutive_failures_;
+    if (consecutive_failures_ >= policy_.quarantine_after) {
+      quarantined = state_ != HealthState::kQuarantined;
+      state_ = HealthState::kQuarantined;
+    } else if (consecutive_failures_ >= policy_.degraded_after &&
+               state_ == HealthState::kHealthy) {
+      state_ = HealthState::kDegraded;
+    }
   }
+  if (quarantined && on_quarantined_) on_quarantined_();
 }
 
 void Replica::on_probe_success() {
@@ -168,11 +161,13 @@ void Replica::on_probe_failure() {
 }
 
 void Replica::restart() {
+  // Opened before the swap: submits keep reaching the old batcher
+  // meanwhile, and a throwing open leaves the replica untouched.
+  auto fresh = InferenceSession::open(deploy::replicate(*master_), options_);
   std::unique_lock lock(session_mutex_);
   if (batcher_) batcher_->close();  // drain: pre-restart futures resolve
   batcher_.reset();
-  session_.reset();
-  session_ = InferenceSession::open(artifact_path_, options_);
+  session_ = std::move(fresh);
   batcher_ = std::make_unique<AsyncBatcher>(*session_);
   {
     std::lock_guard hook_lock(hook_mutex_);

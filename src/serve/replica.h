@@ -1,15 +1,16 @@
 // serve::Replica — one worker of the self-healing replica fleet.
 //
-// A Replica owns one InferenceSession (opened from the shared deployment
-// artifact under its *own* seed/fault configuration — each replica is a
-// differently-faulted chip instance, which is exactly what the paper's
-// Monte-Carlo chip-evaluation loop wants spread across a fleet) plus the
-// AsyncBatcher that coalesces the traffic routed to it. On top of serving,
-// it carries the observable state the ClusterController's routing and
-// self-healing read:
+// A Replica owns one InferenceSession (replicated from the fleet's shared,
+// already-loaded artifact and opened under its *own* seed/fault
+// configuration — each replica is a differently-faulted chip instance,
+// which is exactly what the paper's Monte-Carlo chip-evaluation loop wants
+// spread across a fleet) plus the AsyncBatcher that coalesces the traffic
+// routed to it. On top of serving, it carries the observable state the
+// ClusterController's routing and self-healing read:
 //
-//   • load — controller-dispatched in-flight attempts plus the batcher's
-//     queue depth, the signal power-of-two-choices routing compares;
+//   • load — controller-dispatched attempts not yet resolved (waiting in
+//     the batcher queue or executing), the signal power-of-two-choices
+//     routing compares;
 //   • latency — per-replica EWMA and the batcher's log2 histogram
 //     (p50/p95/p99 via serve/metrics.h);
 //   • health — Healthy → Degraded → Quarantined, driven by runs of
@@ -17,12 +18,15 @@
 //     replicas still serve (deprioritized: routed only when no healthy
 //     replica has capacity) and one success restores them; Quarantined
 //     replicas receive no traffic and recover only through controller
-//     probes — or through restart().
+//     probes — or through restart(). The transition into Quarantined calls
+//     the owner's on_quarantined callback (the controller's heartbeat
+//     wake-up), whoever reported the failure.
 //
-// restart() is the kill-and-respawn path: the batcher drains, the session
-// is destroyed, and a fresh session is opened from the artifact under the
-// same per-replica configuration. In-flight futures from before the
-// restart still complete (drain semantics); the installed forward hook is
+// restart() is the kill-and-respawn path: a fresh session is replicated
+// from the in-memory master under the same per-replica configuration (the
+// artifact file is never read again), then the old batcher drains and the
+// old session is destroyed. In-flight futures from before the restart
+// still complete (drain semantics); the installed forward hook is
 // re-installed on the new batcher so chaos harnesses keep their grip on a
 // respawned replica.
 //
@@ -39,6 +43,7 @@
 #include <mutex>
 #include <shared_mutex>
 #include <string>
+#include <vector>
 
 #include "deploy/deploy.h"
 #include "serve/batcher.h"
@@ -73,17 +78,16 @@ struct NodeMetrics {
   int id = 0;
   HealthState state = HealthState::kHealthy;
   int64_t inflight = 0;     // controller attempts dispatched, unresolved
-  int64_t queue_depth = 0;  // batcher queue behind them
+  int64_t queue_depth = 0;  // requests waiting in the batcher queue
   double ewma_latency_us = 0.0;
   double p50_latency_us = 0.0;
   double p95_latency_us = 0.0;
   double p99_latency_us = 0.0;
-  /// TileCost-modeled ADC/conversion time percentiles of served requests
-  /// (BatcherCounters::analog_latency) — 0 on digital backends. What the
-  /// analog chip would have spent, beside what the simulation did spend.
-  double analog_p50_us = 0.0;
-  double analog_p95_us = 0.0;
-  double analog_p99_us = 0.0;
+  /// TileCost-modeled ADC/conversion time of served requests
+  /// (BatcherCounters::analog_latency) — empty on digital backends. What
+  /// the analog chip would have spent, beside what the simulation did.
+  LatencyHistogram::Snapshot analog;
+  uint64_t batches = 0;    // coalesced batches the batcher dispatched
   uint64_t succeeded = 0;  // attempts resolved with a result
   uint64_t failures = 0;   // attempts resolved with an exception
   uint64_t timeouts = 0;   // attempts abandoned at their deadline
@@ -91,23 +95,23 @@ struct NodeMetrics {
   uint64_t restarts = 0;
   /// Streaming predictive-uncertainty EWMAs of this replica's served
   /// requests (UncertaintyMonitor): the paper's fault signal per chip
-  /// instance. A drifting replica moves uncertainty_drift away from 0
+  /// instance. A drifting replica moves uncertainty.drift away from 0
   /// while its healthy peers stay flat — visible from one scrape.
-  uint64_t uncertainty_count = 0;
-  double entropy_fast = 0.0;
-  double entropy_baseline = 0.0;
-  double variance_fast = 0.0;
-  double variance_baseline = 0.0;
-  double uncertainty_drift = 0.0;
+  UncertaintyMonitor::Snapshot uncertainty;
+  /// Per-fused-op profile of the session's compiled plans
+  /// (InferenceSession::plan_op_profiles; empty unless profiling is on).
+  std::vector<deploy::PlanOpProfile> plan_ops;
 };
 
 class Replica {
  public:
-  /// Takes ownership of an open session; `artifact_path` + `options` are
+  /// Opens a session on a replica of `master` under `options`; both are
   /// kept for restart() to respawn an identically-configured session.
-  Replica(int id, std::unique_ptr<InferenceSession> session,
-          std::string artifact_path, deploy::DeployOptions options,
-          HealthPolicy policy);
+  /// `on_quarantined` (may be empty) runs on every transition into
+  /// Quarantined, outside the replica's locks.
+  Replica(int id, std::shared_ptr<const deploy::LoadedArtifact> master,
+          deploy::DeployOptions options, HealthPolicy policy,
+          std::function<void()> on_quarantined = {});
   ~Replica();
   Replica(const Replica&) = delete;
   Replica& operator=(const Replica&) = delete;
@@ -129,11 +133,13 @@ class Replica {
   /// re-installed across restart() (AsyncBatcher::set_forward_hook).
   void set_forward_hook(std::function<void(int64_t rows)> hook);
 
-  /// Routing load signal: in-flight attempts + batcher queue depth.
+  /// Routing load signal: controller attempts dispatched and not yet
+  /// resolved, whether still queued in the batcher or executing.
   int64_t load() const;
-  /// Saturation check against the controller's per-replica bound.
+  /// Saturation check against the controller's per-replica bound
+  /// (0 = no bound, never saturated).
   bool saturated(int64_t max_inflight) const {
-    return load() >= max_inflight;
+    return max_inflight > 0 && load() >= max_inflight;
   }
 
   HealthState state() const;
@@ -157,8 +163,9 @@ class Replica {
   void on_probe_success();
   void on_probe_failure();
 
-  /// Kill → respawn: drains the batcher, destroys the session, reopens a
-  /// fresh one from the artifact under the same options. A Quarantined
+  /// Kill → respawn: opens a fresh session from the in-memory master under
+  /// the same options, then drains the old batcher and destroys the old
+  /// session. If the open throws, the replica is left as it was. A Quarantined
   /// replica stays quarantined (recovery is the probes' verdict, not the
   /// restart's); otherwise the replica comes back Healthy.
   void restart();
@@ -172,9 +179,10 @@ class Replica {
 
  private:
   const int id_;
-  const std::string artifact_path_;
+  const std::shared_ptr<const deploy::LoadedArtifact> master_;
   const deploy::DeployOptions options_;
   const HealthPolicy policy_;
+  const std::function<void()> on_quarantined_;
 
   /// restart() excludes submits/metrics while it swaps session + batcher.
   mutable std::shared_mutex session_mutex_;

@@ -19,54 +19,14 @@ std::future<Prediction> failed_future(Status status,
   return promise.get_future();
 }
 
-void merge_snapshot(LatencyHistogram::Snapshot& into,
-                    const LatencyHistogram::Snapshot& from) {
-  for (size_t b = 0; b < LatencyHistogram::kBuckets; ++b)
-    into.buckets[b] += from.buckets[b];
-  into.total_us += from.total_us;
-  into.count += from.count;
-}
-
 }  // namespace
-
-// ---- TenantUnit -------------------------------------------------------------
-
-std::future<Prediction> ModelServer::TenantUnit::submit(
-    const Tensor& input, std::chrono::steady_clock::time_point deadline,
-    const trace::TraceContextPtr& tctx) {
-  constexpr auto kNoDeadline = std::chrono::steady_clock::time_point::max();
-  if (cluster) {
-    if (deadline == kNoDeadline) {
-      // Same default the 1-arg overload applies (0 = no deadline there too).
-      return cluster->submit(input, std::chrono::microseconds(
-                                        cluster->options().default_timeout_us),
-                             tctx);
-    }
-    // ClusterController treats timeout <= 0 as "no deadline"; an already
-    // expired request must instead time out promptly — clamp to 1µs.
-    const auto remaining =
-        std::chrono::duration_cast<std::chrono::microseconds>(
-            deadline - std::chrono::steady_clock::now());
-    return cluster->submit(
-        input, std::max(std::chrono::microseconds(1), remaining), tctx);
-  }
-  if (deadline == kNoDeadline) return batcher->submit(input, tctx);
-  const auto remaining = std::chrono::duration_cast<std::chrono::microseconds>(
-      deadline - std::chrono::steady_clock::now());
-  return batcher->submit(
-      input, std::max(std::chrono::microseconds(0), remaining), tctx);
-}
-
-void ModelServer::TenantUnit::close() {
-  if (batcher) batcher->close();
-  if (cluster) cluster->close();
-}
 
 // ---- lifecycle --------------------------------------------------------------
 
 ModelServer::ModelServer(ServerOptions options)
     : options_(std::move(options)) {
-  RIPPLE_CHECK(options_.replicas >= 1) << "ModelServer: replicas >= 1";
+  RIPPLE_CHECK(options_.cluster.replicas >= 1)
+      << "ModelServer: cluster.replicas >= 1";
   if (options_.metrics_port >= 0) {
     exporter_ = std::make_unique<MetricsExporter>(*this);
     exporter_->start(options_.metrics_port);
@@ -82,7 +42,6 @@ std::shared_ptr<ModelServer::ModelVersion> ModelServer::build_version(
   auto mv = std::make_shared<ModelVersion>();
   mv->name = name;
   mv->version = version;
-  mv->artifact_path = artifact_path;
   mv->deploy = deploy;
   const deploy::ManifestInfo info = deploy::inspect_artifact(artifact_path);
   if (info.version >= 3) {
@@ -90,13 +49,15 @@ std::shared_ptr<ModelServer::ModelVersion> ModelServer::build_version(
       auto entry = std::make_unique<EntryState>();
       entry->name = e.name;
       entry->weight = e.weight;
-      entry->master = deploy::load_artifact(artifact_path, e.name);
+      entry->master = std::make_shared<const deploy::LoadedArtifact>(
+          deploy::load_artifact(artifact_path, e.name));
       mv->entries.push_back(std::move(entry));
     }
   } else {
     // Single-model v1/v2 file: one anonymous entry.
     auto entry = std::make_unique<EntryState>();
-    entry->master = deploy::load_artifact(artifact_path);
+    entry->master = std::make_shared<const deploy::LoadedArtifact>(
+        deploy::load_artifact(artifact_path));
     mv->entries.push_back(std::move(entry));
   }
   // Weighted-round-robin pick table: weights quantized at 1% resolution,
@@ -121,7 +82,7 @@ std::shared_ptr<ModelServer::ModelVersion> ModelServer::build_version(
 void ModelServer::load_model(const std::string& name,
                              const std::string& version,
                              const std::string& artifact_path) {
-  load_model(name, version, artifact_path, options_.deploy);
+  load_model(name, version, artifact_path, options_.cluster.deploy);
 }
 
 void ModelServer::load_model(const std::string& name,
@@ -183,7 +144,7 @@ void ModelServer::unload_model(const std::string& name,
 void ModelServer::hot_swap(const std::string& name,
                            const std::string& version,
                            const std::string& artifact_path) {
-  hot_swap(name, version, artifact_path, options_.deploy);
+  hot_swap(name, version, artifact_path, options_.cluster.deploy);
 }
 
 void ModelServer::hot_swap(const std::string& name,
@@ -220,7 +181,7 @@ void ModelServer::hot_swap(const std::string& name,
 void ModelServer::retire(const std::shared_ptr<ModelVersion>& mv) {
   if (!mv) return;
   for (const auto& entry : mv->entries) {
-    std::vector<std::shared_ptr<TenantUnit>> units;
+    std::vector<std::shared_ptr<ClusterController>> units;
     {
       std::lock_guard<std::mutex> lock(entry->units_mutex);
       entry->retired = true;  // late submits re-resolve on the registry
@@ -231,16 +192,8 @@ void ModelServer::retire(const std::shared_ptr<ModelVersion>& mv) {
     }
     for (auto& unit : units) {
       unit->close();  // drain: every queued future resolves
-      if (unit->batcher) {
-        const BatcherCounters& c = unit->batcher->counters();
-        counters_.on_drained(c.submitted(), c.completed(), c.timeouts());
-      } else if (unit->cluster) {
-        const ClusterCounters& c = unit->cluster->counters();
-        counters_.on_drained(c.submitted(),
-                             c.succeeded() + c.failed() + c.timeouts() +
-                                 c.shed(),
-                             c.timeouts());
-      }
+      const ClusterCounters& c = unit->counters();
+      counters_.on_drained(c.submitted(), c.resolved(), c.timeouts());
     }
   }
 }
@@ -334,8 +287,9 @@ ModelServer::EntryState* ModelServer::pick_entry(
   return mv.entries.back().get();
 }
 
-std::shared_ptr<ModelServer::TenantUnit> ModelServer::unit_for(
-    ModelVersion& mv, EntryState& entry, Tenant& tenant) {
+std::shared_ptr<ClusterController> ModelServer::unit_for(ModelVersion& mv,
+                                                         EntryState& entry,
+                                                         Tenant& tenant) {
   std::lock_guard<std::mutex> lock(entry.units_mutex);
   if (entry.retired)
     throw ServeError(Status::kClosed,
@@ -343,32 +297,18 @@ std::shared_ptr<ModelServer::TenantUnit> ModelServer::unit_for(
   auto& slot = entry.units[tenant.id()];
   if (slot) return slot;
 
-  // First request of this tenant for this (version, entry): open its unit
-  // under the tenant's seed salt — an isolated, deterministic MC stream.
-  SessionOptions session = mv.deploy.session.has_value()
-                               ? *mv.deploy.session
-                               : entry.master.session_defaults;
-  session.seed += tenant.seed_salt();
-  auto unit = std::make_shared<TenantUnit>();
-  unit->tenant = tenant.id();
-  if (options_.replicas > 1) {
-    ClusterOptions co = options_.cluster;
-    co.replicas = options_.replicas;
-    co.deploy = mv.deploy;
-    co.deploy.session = session;
-    co.deploy.manifest_entry = entry.name;
-    co.deploy.crossbar.seed += tenant.seed_salt();
-    unit->cluster =
-        std::make_unique<ClusterController>(mv.artifact_path, co);
-  } else {
-    deploy::DeployOptions d = mv.deploy;
-    d.session = session;
-    d.crossbar.seed += tenant.seed_salt();
-    unit->session =
-        InferenceSession::open(deploy::replicate(entry.master), d);
-    unit->batcher = std::make_unique<AsyncBatcher>(*unit->session);
-  }
-  slot = std::move(unit);
+  // First request of this tenant for this (version, entry): build its
+  // fleet from the loaded master under the tenant's seed salt — an
+  // isolated, deterministic MC stream (replica 0 serves the salted seed).
+  ClusterOptions co = options_.cluster;
+  co.deploy = mv.deploy;
+  co.deploy.session = mv.deploy.session.has_value()
+                          ? *mv.deploy.session
+                          : entry.master->session_defaults;
+  co.deploy.session->seed += tenant.seed_salt();
+  co.deploy.manifest_entry = entry.name;
+  co.deploy.crossbar.seed += tenant.seed_salt();
+  slot = std::make_shared<ClusterController>(entry.master, std::move(co));
   return slot;
 }
 
@@ -394,20 +334,17 @@ std::future<Prediction> ModelServer::submit_routed(Request request,
   }
   auto deadline = request.deadline;
   if (deadline == std::chrono::steady_clock::time_point::max() &&
-      options_.default_timeout_us > 0) {
-    deadline = now + std::chrono::microseconds(options_.default_timeout_us);
+      options_.cluster.default_timeout_us > 0) {
+    deadline =
+        now + std::chrono::microseconds(options_.cluster.default_timeout_us);
   }
 
-  // Front-door trace context: owned (finished) by whichever layer resolves
-  // the request's promise — the unit's cluster, or its batcher. With
-  // tracing off this is one branch.
+  // Front-door trace context, finished by the unit's cluster once it
+  // resolves the request's promise. With tracing off this is one branch.
   trace::TraceContextPtr tctx;
   trace::Tracer& tracer = trace::Tracer::instance();
   if (tracer.enabled()) {
-    tctx = tracer.begin_trace(request.tenant,
-                              options_.replicas > 1
-                                  ? trace::FinishLayer::kCluster
-                                  : trace::FinishLayer::kBatcher);
+    tctx = tracer.begin_trace(request.tenant, trace::FinishLayer::kCluster);
   }
   // Admission failures after this point resolve the future right here, so
   // the server both records the span and finishes the context.
@@ -443,8 +380,9 @@ std::future<Prediction> ModelServer::submit_routed(Request request,
     try {
       // The shared_ptr keeps the unit alive even if a concurrent retire()
       // drops the entry's reference right now; a retired unit's submit
-      // observes its closed batcher/cluster and lands in the catch below.
-      std::shared_ptr<TenantUnit> unit = unit_for(*mv, *entry, *tenant);
+      // observes its closed cluster and lands in the catch below.
+      std::shared_ptr<ClusterController> unit =
+          unit_for(*mv, *entry, *tenant);
       std::future<Prediction> future =
           unit->submit(request.input, deadline, tctx);
       tenant->on_submit();
@@ -520,50 +458,31 @@ std::vector<UnitMetricsRow> ModelServer::unit_metrics() const {
           row.version = version;
           row.entry = entry->name;
           row.tenant = tenant;
-          if (unit->batcher) {
-            const BatcherCounters& c = unit->batcher->counters();
-            row.submitted = c.submitted();
-            row.completed = c.completed();
-            row.timeouts = c.timeouts();
-            row.batches = c.batches();
-            row.queue_depth = c.queue_depth();
-            row.latency = c.latency().snapshot();
-            row.analog = c.analog_latency().snapshot();
-            row.uncertainty = c.uncertainty().snapshot();
-            if (unit->session) {
-              row.plan_ops = unit->session->plan_op_profiles();
-            }
-          } else if (unit->cluster) {
-            const ClusterCounters& c = unit->cluster->counters();
-            row.cluster = true;
-            row.submitted = c.submitted();
-            row.completed =
-                c.succeeded() + c.failed() + c.timeouts() + c.shed();
-            row.timeouts = c.timeouts();
-            row.queue_depth = unit->cluster->queue_depth();
-            row.latency = c.latency().snapshot();
-            row.cluster_succeeded = c.succeeded();
-            row.cluster_failed = c.failed();
-            row.cluster_shed = c.shed();
-            row.cluster_retries = c.retries();
-            row.cluster_restarts = c.restarts();
-            // Per-replica drift, and the most-drifted replica's snapshot
-            // as the unit-level uncertainty view (the chip instance an
-            // operator should look at first).
-            const std::vector<NodeMetrics> nodes = unit->cluster->metrics();
-            row.replica_drift.reserve(nodes.size());
-            double worst = -1.0;
-            for (const NodeMetrics& n : nodes) {
-              row.replica_drift.push_back(n.uncertainty_drift);
-              if (std::abs(n.uncertainty_drift) > worst) {
-                worst = std::abs(n.uncertainty_drift);
-                row.uncertainty.count = n.uncertainty_count;
-                row.uncertainty.entropy_fast = n.entropy_fast;
-                row.uncertainty.entropy_baseline = n.entropy_baseline;
-                row.uncertainty.variance_fast = n.variance_fast;
-                row.uncertainty.variance_baseline = n.variance_baseline;
-                row.uncertainty.drift = n.uncertainty_drift;
-              }
+          const ClusterCounters& c = unit->counters();
+          row.submitted = c.submitted();
+          row.completed = c.resolved();
+          row.timeouts = c.timeouts();
+          row.queue_depth = unit->queue_depth();
+          row.latency = c.latency().snapshot();
+          row.cluster_succeeded = c.succeeded();
+          row.cluster_failed = c.failed();
+          row.cluster_shed = c.shed();
+          row.cluster_retries = c.retries();
+          row.cluster_restarts = c.restarts();
+          // Replica sums, per-replica drift, and the most-drifted replica's
+          // snapshot as the unit-level uncertainty view (the chip instance
+          // an operator should look at first).
+          double worst = -1.0;
+          for (const NodeMetrics& n : unit->metrics()) {
+            row.batches += n.batches;
+            row.queue_depth += n.queue_depth;
+            row.analog.merge(n.analog);
+            for (const deploy::PlanOpProfile& op : n.plan_ops)
+              deploy::add_op_profile(row.plan_ops, op);
+            row.replica_drift.push_back(n.uncertainty.drift);
+            if (std::abs(n.uncertainty.drift) > worst) {
+              worst = std::abs(n.uncertainty.drift);
+              row.uncertainty = n.uncertainty;
             }
           }
           rows.push_back(std::move(row));
@@ -587,7 +506,7 @@ std::vector<TenantMetricsRow> ModelServer::tenant_metrics() const {
     row.submitted = tenant->submitted();
     row.quota_rejected = tenant->quota_rejected();
     for (const UnitMetricsRow& u : units)
-      if (u.tenant == id) merge_snapshot(row.latency, u.latency);
+      if (u.tenant == id) row.latency.merge(u.latency);
     rows.push_back(std::move(row));
   }
   return rows;

@@ -2,7 +2,9 @@
 //
 // Everything below this layer serves *one* model for *anonymous* callers:
 // a session predicts, a batcher coalesces, a cluster keeps replicas of one
-// artifact healthy. The ModelServer owns what a deployment actually is —
+// artifact healthy. Every serving unit of the server is one such
+// ClusterController of ServerOptions::cluster.replicas ≥ 1 replicas. The
+// ModelServer owns what a deployment actually is —
 // many models, many versions of each, many clients — behind one typed
 // Request/Response surface:
 //
@@ -14,21 +16,20 @@
 //   hot swap   load_model(new version) + set_active — or hot_swap(), which
 //              does both and retires the old active — without dropping
 //              in-flight requests: lookups run under a shared registry
-//              lock, retirement drains each serving unit (AsyncBatcher/
-//              ClusterController close semantics) so queued futures
+//              lock, retirement drains each serving unit
+//              (ClusterController close semantics) so queued futures
 //              resolve, and a submit that raced the swap re-resolves onto
 //              the new active version. Exactly-once across the swap.
-//   tenants    per-tenant serving units (session+batcher, or a replica
-//              cluster when ServerOptions::replicas > 1), opened lazily
-//              with the tenant's seed salt — isolated, deterministic MC
-//              streams per tenant — plus token-bucket quotas and
-//              per-tenant latency views (serve/tenant.h).
+//   tenants    per-tenant serving units, built lazily from the version's
+//              loaded artifact with the tenant's seed salt — isolated,
+//              deterministic MC streams per tenant — plus token-bucket
+//              quotas and per-tenant latency views (serve/tenant.h).
 //   failures   the serve::Status taxonomy, now with kUnknownModel and
 //              kQuotaExceeded. submit() only throws for kClosed (server
 //              shut down); every per-request failure arrives through the
 //              future, exactly once.
-//   metrics    per-unit BatcherCounters/ClusterCounters flattened into
-//              UnitMetricsRow/TenantMetricsRow snapshots — the feed of
+//   metrics    per-unit ClusterCounters and replica NodeMetrics flattened
+//              into UnitMetricsRow/TenantMetricsRow snapshots — the feed of
 //              serve::MetricsExporter (serve/prom.h), optionally exposed
 //              over HTTP behind ServerOptions::metrics_port.
 #pragma once
@@ -45,7 +46,6 @@
 #include <vector>
 
 #include "deploy/deploy.h"
-#include "serve/batcher.h"
 #include "serve/cluster.h"
 #include "serve/tenant.h"
 
@@ -62,22 +62,19 @@ struct ModelRef {
 };
 
 struct ServerOptions {
-  /// Default deploy configuration for load_model() calls without their
-  /// own (backend, session overrides, crossbar knobs).
-  deploy::DeployOptions deploy;
-  /// Replicas per serving unit. 1 = a session+batcher per (model, entry,
-  /// tenant); >1 = a ClusterController fleet per unit (health, retries,
-  /// admission control), configured from `cluster`.
-  int replicas = 1;
-  /// Template for cluster-mode units (replicas/deploy are overridden).
+  /// Template of every serving unit's ClusterController: replicas per unit
+  /// (default 1), health, retries, admission control (off by default).
+  /// `cluster.deploy` is the default deploy configuration of load_model()
+  /// and hot_swap() calls without their own (backend, session overrides,
+  /// crossbar knobs; its manifest_entry is unused — every entry of a
+  /// manifest registers). `cluster.default_timeout_us` is the deadline of
+  /// requests that carry none (0 = none).
   ClusterOptions cluster;
   /// Quota granted to tenants that were never register_tenant()ed.
   QuotaPolicy default_quota;
   /// Auto-register unknown tenants (default_quota, id-derived seed salt).
   /// Off: requests from unregistered tenants fail with kQuotaExceeded.
   bool auto_register_tenants = true;
-  /// Deadline applied when a request carries none (0 = none).
-  int64_t default_timeout_us = 2'000'000;
   /// Prometheus HTTP listener port: -1 = off (default), 0 = any free
   /// port (MetricsExporter::port() reports the binding), >0 = fixed.
   /// render() works regardless.
@@ -90,7 +87,7 @@ struct Request {
   ModelRef model;
   Tensor input;
   /// Absolute deadline; time_point::max() (default) applies the server's
-  /// default_timeout_us.
+  /// cluster.default_timeout_us.
   std::chrono::steady_clock::time_point deadline =
       std::chrono::steady_clock::time_point::max();
   /// Opaque caller metadata, carried through untouched.
@@ -118,37 +115,36 @@ struct ModelInfo {
 };
 
 /// Per-serving-unit metrics snapshot, one row per (model, version, entry,
-/// tenant) unit — the Prometheus exporter's feed. Cluster-mode rows also
-/// carry the fleet counters.
+/// tenant) unit — the Prometheus exporter's feed. Request counts and
+/// latency are the unit's ClusterCounters; batches, queue depth, analog
+/// time and plan ops are summed or merged over its replicas.
 struct UnitMetricsRow {
   std::string model;
   std::string version;
   std::string entry;
   std::string tenant;
   uint64_t submitted = 0;
-  uint64_t completed = 0;
+  uint64_t completed = 0;  // ClusterCounters::resolved()
   uint64_t timeouts = 0;
   uint64_t batches = 0;
+  /// Accepted but not yet dispatched: the controller queue plus every
+  /// replica's batcher queue.
   int64_t queue_depth = 0;
   LatencyHistogram::Snapshot latency;
   LatencyHistogram::Snapshot analog;
-  bool cluster = false;
   uint64_t cluster_succeeded = 0;
   uint64_t cluster_failed = 0;
   uint64_t cluster_shed = 0;
   uint64_t cluster_retries = 0;
   uint64_t cluster_restarts = 0;
-  /// Streaming predictive-uncertainty EWMAs (UncertaintyMonitor): batcher
-  /// rows read their unit's monitor; cluster rows surface the snapshot of
-  /// the replica whose drift gauge is furthest from 0 — the fleet's most
-  /// suspicious chip instance.
+  /// Streaming predictive-uncertainty EWMAs (UncertaintyMonitor) of the
+  /// replica whose drift gauge is furthest from 0 — the fleet's most
+  /// suspicious chip instance (the only one at replicas = 1).
   UncertaintyMonitor::Snapshot uncertainty;
-  /// Cluster rows: per-replica entropy-drift gauges, indexed by replica id.
+  /// Per-replica entropy-drift gauges, indexed by replica id.
   std::vector<double> replica_drift;
-  /// Batcher rows with a compiled plan: per-fused-op profile aggregated
-  /// over the session's cached plans (deploy::set_plan_profiling gates the
-  /// counters; empty otherwise). Cluster rows skip this — replica sessions
-  /// are behind their own locks and surface drift instead.
+  /// Per-fused-op profile of the replicas' compiled plans, summed by op
+  /// (deploy::set_plan_profiling gates the counters; empty otherwise).
   std::vector<deploy::PlanOpProfile> plan_ops;
 };
 
@@ -262,9 +258,10 @@ class ModelServer {
 
   /// Routes the request to its tenant's serving unit for the resolved
   /// (model, version, entry). The future resolves exactly once — with a
-  /// Prediction or a ServeError (kTimeout/kOverloaded/kReplicaDown from
+  /// Prediction, a ServeError (kTimeout/kOverloaded/kReplicaDown from
   /// the unit; kUnknownModel/kQuotaExceeded from the server, already
-  /// failed on return). Throws ServeError{kClosed} only after close().
+  /// failed on return), or the session's CheckError for a malformed
+  /// input. Throws ServeError{kClosed} only after close().
   std::future<Prediction> submit(Request request);
 
   /// Blocking convenience: submit + wait, failures folded into the typed
@@ -286,22 +283,9 @@ class ModelServer {
   bool closed() const;
 
  private:
-  /// One tenant's serving stack for one (model version, entry): a
-  /// session+batcher, or a replica cluster when options_.replicas > 1.
-  struct TenantUnit {
-    std::string tenant;
-    std::unique_ptr<InferenceSession> session;
-    std::unique_ptr<AsyncBatcher> batcher;
-    std::unique_ptr<ClusterController> cluster;
-
-    std::future<Prediction> submit(
-        const Tensor& input, std::chrono::steady_clock::time_point deadline,
-        const trace::TraceContextPtr& tctx = nullptr);
-    void close();
-  };
-
   /// One manifest entry of a registered version: the replication master
-  /// plus the lazily-created per-tenant units behind their own lock.
+  /// plus the lazily-created per-tenant units (one ClusterController per
+  /// tenant) behind their own lock.
   /// Units are shared_ptr so a submit that copied one out under
   /// units_mutex keeps it alive even if retire() drains and drops the
   /// map's reference concurrently — the racing submit then observes the
@@ -309,16 +293,16 @@ class ModelServer {
   struct EntryState {
     std::string name;  // "" for single-model v1/v2 artifacts
     double weight = 1.0;
-    deploy::LoadedArtifact master;
+    std::shared_ptr<const deploy::LoadedArtifact> master;
     mutable std::mutex units_mutex;
     bool retired = false;  // set at drain; submits re-resolve elsewhere
-    std::map<std::string, std::shared_ptr<TenantUnit>> units;  // by tenant
+    /// By tenant id.
+    std::map<std::string, std::shared_ptr<ClusterController>> units;
   };
 
   struct ModelVersion {
     std::string name;
     std::string version;
-    std::string artifact_path;
     deploy::DeployOptions deploy;
     std::vector<std::unique_ptr<EntryState>> entries;
     /// Weighted-round-robin state: pick_upper[i] is the cumulative integer
@@ -344,8 +328,9 @@ class ModelServer {
   /// The tenant's unit for one entry, created on first use. Returns an
   /// owning reference (alive across a concurrent retire()). Throws
   /// ServeError{kClosed} when the entry is already retired.
-  std::shared_ptr<TenantUnit> unit_for(ModelVersion& mv, EntryState& entry,
-                                       Tenant& tenant);
+  std::shared_ptr<ClusterController> unit_for(ModelVersion& mv,
+                                              EntryState& entry,
+                                              Tenant& tenant);
   std::shared_ptr<Tenant> resolve_tenant(const std::string& id);
   /// What actually served a request (filled on the success path).
   struct Routed {
@@ -366,7 +351,7 @@ class ModelServer {
   std::map<std::string, ModelState> registry_;
   /// Retired versions kept until fully drained (retire() holds the only
   /// other reference while closing units).
-  /// Tenants are shared_ptr for the same reason as TenantUnits: submit()
+  /// Tenants are shared_ptr for the same reason as units: submit()
   /// copies one out under tenants_mutex_ and keeps using it lock-free
   /// (admit/on_submit/seed_salt); register_tenant() reconfiguration swaps
   /// in a new object without freeing the one in-flight requests hold.

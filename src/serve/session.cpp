@@ -698,21 +698,8 @@ std::vector<deploy::PlanOpProfile> InferenceSession::plan_op_profiles() const {
         e->plan == nullptr) {
       continue;
     }
-    for (const deploy::PlanOpProfile& op : e->plan->op_profile()) {
-      if (op.calls == 0) continue;
-      auto it = std::find_if(agg.begin(), agg.end(),
-                             [&](const deploy::PlanOpProfile& a) {
-                               return a.tag == op.tag;
-                             });
-      if (it == agg.end()) {
-        deploy::PlanOpProfile row = op;
-        row.step = -1;  // aggregated across steps and plans
-        agg.push_back(row);
-      } else {
-        it->calls += op.calls;
-        it->total_ns += op.total_ns;
-      }
-    }
+    for (const deploy::PlanOpProfile& op : e->plan->op_profile())
+      if (op.calls > 0) deploy::add_op_profile(agg, op);
   }
   return agg;
 }

@@ -63,6 +63,10 @@ enum class TaskKind { kClassification, kRegression, kSegmentation };
 
 const char* task_kind_name(TaskKind kind);
 
+/// Upper bound on SessionOptions::batcher_threads in a deployment artifact
+/// (deploy::load_artifact rejects files outside [1, kMaxBatcherThreads]).
+inline constexpr int kMaxBatcherThreads = 64;
+
 struct SessionOptions {
   TaskKind task = TaskKind::kClassification;
   /// Stochastic samples T per uncertainty estimate. Deterministic variants
@@ -108,7 +112,8 @@ struct SessionOptions {
   /// (a single oversized request still dispatches alone). 0 = requests
   /// only.
   int64_t batch_max_rows = 0;
-  /// Worker threads draining the batcher queue.
+  /// Worker threads draining the batcher queue (≤ kMaxBatcherThreads in
+  /// an artifact).
   int batcher_threads = 1;
 };
 

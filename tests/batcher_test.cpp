@@ -619,10 +619,12 @@ TEST(LatencyHistogramTest, BucketsAndPercentiles) {
   EXPECT_LE(h.p99(), 2048.0);
   EXPECT_NEAR(h.mean_us(), (90.0 * 20 + 10.0 * 1500) / 100.0, 1e-9);
 
-  LatencyHistogram merged;
-  merged.record(20);
-  merged.merge_from(h);
-  EXPECT_EQ(merged.count(), 101u);
+  LatencyHistogram one;
+  one.record(20);
+  LatencyHistogram::Snapshot merged = one.snapshot();
+  merged.merge(h.snapshot());
+  EXPECT_EQ(merged.count, 101u);
+  EXPECT_EQ(merged.buckets[LatencyHistogram::bucket_for(20)], 91u);
 }
 
 TEST(BatcherCountersTest, DispatchAccounting) {

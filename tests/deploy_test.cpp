@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -509,6 +510,40 @@ class ArtifactFileErrors : public ::testing::Test {
     out.write(bytes_.data(), static_cast<std::streamsize>(count));
   }
 
+  /// Offset of the session seed in bytes_. Re-saving under another seed
+  /// changes only the 8 seed bytes, which locates the session options;
+  /// every session and variant field sits at a fixed offset from them.
+  size_t seed_offset() const {
+    models::BinaryResNet model({.in_channels = 3, .classes = 10, .width = 4},
+                               {.variant = models::Variant::kProposed});
+    model.set_training(false);
+    model.deploy();
+    SessionOptions reseeded = options_for(TaskKind::kClassification);
+    reseeded.seed = 0x0123456789abcdefull;
+    const std::string other = temp_path("err_seed.rpla");
+    deploy::save_artifact(model, other, reseeded);
+    std::ifstream in(other, std::ios::binary);
+    const std::vector<char> other_bytes((std::istreambuf_iterator<char>(in)),
+                                        std::istreambuf_iterator<char>());
+    EXPECT_EQ(other_bytes.size(), bytes_.size());
+    size_t at = 0;
+    while (at < bytes_.size() && bytes_[at] == other_bytes[at]) ++at;
+    return at;
+  }
+
+  /// Loads path_ expecting a "corrupt <what>" failure.
+  void expect_corrupt(const std::string& what, const std::string& case_name) {
+    write_bytes(bytes_.size());
+    try {
+      deploy::load_artifact(path_);
+      ADD_FAILURE() << case_name << " was accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("corrupt " + what),
+                std::string::npos)
+          << case_name << ": " << e.what();
+    }
+  }
+
   std::string path_;
   std::vector<char> bytes_;
 };
@@ -541,26 +576,10 @@ TEST_F(ArtifactFileErrors, TruncatedTensorPayload) {
 }
 
 TEST_F(ArtifactFileErrors, OutOfRangeEnumBytesAreRejected) {
-  // Re-saving under another seed changes only the 8 seed bytes, which
-  // locates the session options; every enum field sits at a fixed offset
-  // from them (variant config: variant, dropout_p, init kind, 4 floats,
-  // granularity, affine_first; then task, mc_samples, seed, policy,
-  // max_batch, clamp).
-  models::BinaryResNet model({.in_channels = 3, .classes = 10, .width = 4},
-                             {.variant = models::Variant::kProposed});
-  model.set_training(false);
-  model.deploy();
-  SessionOptions reseeded = options_for(TaskKind::kClassification);
-  reseeded.seed = 0x0123456789abcdefull;
-  const std::string other = temp_path("err_seed.rpla");
-  deploy::save_artifact(model, other, reseeded);
-  std::ifstream in(other, std::ios::binary);
-  const std::vector<char> other_bytes((std::istreambuf_iterator<char>(in)),
-                                      std::istreambuf_iterator<char>());
-  ASSERT_EQ(other_bytes.size(), bytes_.size());
-  size_t seed_at = 0;
-  while (seed_at < bytes_.size() && bytes_[seed_at] == other_bytes[seed_at])
-    ++seed_at;
+  // Enum fields relative to the seed (variant config: variant, dropout_p,
+  // init kind, 4 floats, granularity, affine_first; then task, mc_samples,
+  // seed, policy, max_batch, clamp).
+  const size_t seed_at = seed_offset();
   ASSERT_GE(seed_at, 41u);
   ASSERT_LT(seed_at + 21, bytes_.size());
 
@@ -582,16 +601,8 @@ TEST_F(ArtifactFileErrors, OutOfRangeEnumBytesAreRejected) {
       if (byte == 3 && std::string(f.what) == "clamp flag") continue;
       bytes_ = clean;
       bytes_[seed_at + f.offset + byte] = byte == 0 ? '\x7f' : '\x80';
-      write_bytes(bytes_.size());
-      try {
-        deploy::load_artifact(path_);
-        ADD_FAILURE() << f.what << " byte " << byte << " was accepted";
-      } catch (const std::runtime_error& e) {
-        EXPECT_NE(std::string(e.what()).find(std::string("corrupt ") +
-                                             f.what),
-                  std::string::npos)
-            << e.what();
-      }
+      expect_corrupt(f.what, std::string(f.what) + " byte " +
+                                 std::to_string(byte));
     }
   }
 
@@ -610,6 +621,60 @@ TEST_F(ArtifactFileErrors, OutOfRangeEnumBytesAreRejected) {
   Tensor x = Tensor::randn({2, 3, 16, 16}, rng);
   expect_bit_equal(legacy->mc_outputs(x), current->mc_outputs(x),
                    "legacy policy/clamp bytes are ignored");
+}
+
+TEST_F(ArtifactFileErrors, OutOfRangeSessionKnobsAreRejected) {
+  // Numeric session knobs relative to the seed: mc_samples before it;
+  // policy (+8), max_batch (+12), clamp (+20), batch_max_requests (+21),
+  // batch_max_delay_us (+25), batch_max_rows (+33), batcher_threads (+41)
+  // after it. Load only — a session, batcher or server on a mutated file
+  // could start as many threads as the corrupt field asks for.
+  const size_t seed_at = seed_offset();
+  ASSERT_GE(seed_at, 4u);
+  ASSERT_LT(seed_at + 45, bytes_.size());
+
+  struct Knob {
+    const char* what;
+    std::ptrdiff_t offset;  // from the first seed byte
+    size_t width;           // bytes
+    std::vector<int64_t> bad;
+  };
+  const int64_t kTooManyThreads = serve::kMaxBatcherThreads + 1;
+  const Knob knobs[] = {
+      {"mc_samples", -4, 4, {0, -1}},
+      {"max_batch", 12, 8, {0, -1}},
+      {"batch_max_requests", 21, 4, {0, -1}},
+      {"batch_max_delay_us", 25, 8, {-1, INT64_MIN}},
+      {"batch_max_rows", 33, 8, {-1, INT64_MIN}},
+      {"batcher_threads", 41, 4, {0, -1, kTooManyThreads, INT32_MAX}},
+  };
+  const std::vector<char> clean = bytes_;
+  const auto put = [&](const Knob& k, int64_t value) {
+    bytes_ = clean;
+    if (k.width == 4) {
+      const int32_t v = static_cast<int32_t>(value);
+      std::memcpy(&bytes_[seed_at + k.offset], &v, sizeof(v));
+    } else {
+      std::memcpy(&bytes_[seed_at + k.offset], &value, sizeof(value));
+    }
+  };
+  for (const Knob& k : knobs) {
+    for (const int64_t value : k.bad) {
+      put(k, value);
+      expect_corrupt(k.what,
+                     std::string(k.what) + " = " + std::to_string(value));
+    }
+  }
+
+  // The range ends load (the thread cap itself is allowed).
+  put(knobs[5], serve::kMaxBatcherThreads);
+  write_bytes(bytes_.size());
+  EXPECT_EQ(deploy::load_artifact(path_).session_defaults.batcher_threads,
+            serve::kMaxBatcherThreads);
+  put(knobs[3], 0);
+  write_bytes(bytes_.size());
+  EXPECT_EQ(deploy::load_artifact(path_).session_defaults.batch_max_delay_us,
+            0);
 }
 
 TEST_F(ArtifactFileErrors, SpecMismatchOnLoadInto) {

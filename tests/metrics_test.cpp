@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <future>
 #include <limits>
@@ -112,9 +113,9 @@ TEST(LatencyHistogram, ResetZerosCountsBucketsAndPercentiles) {
 }
 
 TEST(LatencyHistogram, ConcurrentRecordsNeverLoseSamples) {
-  // The snapshot-consistency contract (serve/metrics.h): concurrent
-  // record() calls never lose a sample, snapshots are monotone, and
-  // count == Σ buckets in every snapshot.
+  // Concurrent record() calls never lose a sample. Every assertion runs
+  // after the join, so a failure reports instead of aborting the process
+  // on a still-joinable thread.
   LatencyHistogram h;
   constexpr int kThreads = 4;
   constexpr int kPerThread = 20000;
@@ -123,16 +124,6 @@ TEST(LatencyHistogram, ConcurrentRecordsNeverLoseSamples) {
     writers.emplace_back([&h] {
       for (int i = 0; i < kPerThread; ++i) h.record(8);
     });
-  uint64_t last = 0;
-  while (last < kThreads * kPerThread) {
-    const LatencyHistogram::Snapshot snap = h.snapshot();
-    uint64_t sum = 0;
-    for (const uint64_t b : snap.buckets) sum += b;
-    ASSERT_EQ(snap.count, sum);
-    ASSERT_GE(snap.count, last) << "snapshot went backwards";
-    last = snap.count;
-    std::this_thread::yield();
-  }
   for (auto& w : writers) w.join();
   const LatencyHistogram::Snapshot final_snap = h.snapshot();
   EXPECT_EQ(final_snap.count,
@@ -141,33 +132,47 @@ TEST(LatencyHistogram, ConcurrentRecordsNeverLoseSamples) {
             static_cast<uint64_t>(kThreads) * kPerThread * 8u);
 }
 
-TEST(LatencyHistogram, MergeFromConcurrentWithRecordStaysConsistent) {
-  // merge_from a histogram that is being recorded into: the merged view
-  // is a valid snapshot — internally consistent, never more samples than
-  // the source ever held, mean skewed by at most the in-flight samples.
-  LatencyHistogram src;
+TEST(LatencyHistogram, SnapshotsUnderAConcurrentWriterKeepTheContract) {
+  // The documented snapshot contract (serve/metrics.h) under a live
+  // writer spreading samples over many buckets: every snapshot has
+  // count == Σ buckets, and no bucket ever decreases between snapshots.
+  // Violations are counted, not asserted, until the writer is joined.
+  LatencyHistogram h;
   std::atomic<bool> stop{false};
   std::thread writer([&] {
-    while (!stop.load(std::memory_order_relaxed)) src.record(4);
+    for (int64_t i = 0; !stop.load(std::memory_order_relaxed); ++i)
+      h.record(i % 5000);
   });
-  for (int round = 0; round < 50; ++round) {
-    LatencyHistogram dst;
-    dst.record(4);  // merge accumulates on top of existing counts
-    dst.merge_from(src);
-    const LatencyHistogram::Snapshot snap = dst.snapshot();
+  int inconsistent = 0;
+  int decreased = 0;
+  LatencyHistogram::Snapshot last;
+  // Poll until the writer has demonstrably raced the reader for a while
+  // (the deadline only guards against a writer that never runs).
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (last.count < 200'000 && std::chrono::steady_clock::now() < give_up) {
+    const LatencyHistogram::Snapshot snap = h.snapshot();
     uint64_t sum = 0;
-    for (const uint64_t b : snap.buckets) sum += b;
-    ASSERT_EQ(snap.count, sum);
-    ASSERT_GE(snap.count, 1u);
-    // Every sample is 4µs; a snapshot racing one record() may skew the
-    // sum by that single in-flight sample.
-    const uint64_t want = snap.count * 4;
-    const uint64_t diff =
-        snap.total_us > want ? snap.total_us - want : want - snap.total_us;
-    ASSERT_LE(diff, 4u);
+    for (size_t b = 0; b < LatencyHistogram::kBuckets; ++b) {
+      sum += snap.buckets[b];
+      if (snap.buckets[b] < last.buckets[b]) ++decreased;
+    }
+    if (snap.count != sum) ++inconsistent;
+    last = snap;
   }
   stop.store(true);
   writer.join();
+  EXPECT_EQ(inconsistent, 0);
+  EXPECT_EQ(decreased, 0);
+  EXPECT_GE(last.count, 200'000u);
+
+  // Merging snapshots keeps the contract: counts and sums add up.
+  LatencyHistogram::Snapshot merged = last;
+  merged.merge(h.snapshot());
+  uint64_t sum = 0;
+  for (const uint64_t b : merged.buckets) sum += b;
+  EXPECT_EQ(merged.count, sum);
+  EXPECT_GE(merged.count, 2 * last.count);
 }
 
 TEST(UncertaintyMonitor, FirstObservationSeedsBothWindows) {

@@ -472,7 +472,7 @@ TEST(ModelServer, ClusterModeServesThroughReplicaFleets) {
   Tensor x = Tensor::randn({1, 8, 1}, rng);
 
   ServerOptions options;
-  options.replicas = 2;
+  options.cluster.replicas = 2;
   ModelServer server(options);
   server.load_model("fleet", "1", path);
 
@@ -482,10 +482,117 @@ TEST(ModelServer, ClusterModeServesThroughReplicaFleets) {
   }
   const auto units = server.unit_metrics();
   ASSERT_EQ(units.size(), 1u);
-  EXPECT_TRUE(units[0].cluster);
   EXPECT_EQ(units[0].submitted, 8u);
   EXPECT_EQ(units[0].completed, 8u);
   EXPECT_EQ(units[0].cluster_succeeded, 8u);
+  EXPECT_EQ(units[0].replica_drift.size(), 2u);
+}
+
+// ---- a default unit (one replica) keeps the plain batcher's contract ------
+
+TEST(ModelServer, DefaultUnitQueuesABurstWithoutShedding) {
+  // One burst far beyond the dispatch capacity of a default unit: nothing
+  // is shed (admission control is opt-in), every request is served
+  // bit-exact.
+  const std::string path = make_artifact("srv_burst.rpla", 8, 921);
+  Rng rng(44);
+  Tensor x = Tensor::randn({1, 8, 1}, rng);
+  const Prediction oracle = oracle_of(path, x);
+
+  ModelServer server;
+  server.load_model("fleet", "1", path);
+  server.register_tenant({.id = "burst", .seed_salt = 0});
+  constexpr int kBurst = 1500;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(120);
+  std::vector<std::future<Prediction>> futures;
+  futures.reserve(kBurst);
+  for (int i = 0; i < kBurst; ++i) {
+    Request r = request_for("burst", "fleet", x);
+    r.deadline = deadline;
+    futures.push_back(server.submit(std::move(r)));
+  }
+  int exact = 0;
+  for (auto& f : futures) {
+    try {
+      exact += regressions_equal(f.get(), oracle) ? 1 : 0;
+    } catch (const ServeError& e) {
+      ADD_FAILURE() << e.what();
+    }
+  }
+  EXPECT_EQ(exact, kBurst);
+  const auto units = server.unit_metrics();
+  ASSERT_EQ(units.size(), 1u);
+  EXPECT_EQ(units[0].cluster_shed, 0u);
+  EXPECT_EQ(units[0].completed, static_cast<uint64_t>(kBurst));
+}
+
+TEST(ModelServer, DefaultUnitServesABacklogWithinTheWholeDeadline) {
+  // The batcher holds each request 400 ms to coalesce: a queue wait longer
+  // than a third of the 900 ms deadline. With one replica there is no
+  // peer to re-route to, so the wait is not a replica fault: every
+  // request is served, with no retry, and the unit keeps serving.
+  const std::string path = make_artifact("srv_backlog.rpla", 8, 922);
+  Rng rng(45);
+  Tensor x = Tensor::randn({1, 8, 1}, rng);
+  deploy::DeployOptions slow;
+  SessionOptions so = forecaster_defaults(922);
+  so.batch_max_requests = 64;
+  so.batch_max_delay_us = 400'000;
+  slow.session = so;
+
+  ModelServer server;
+  server.load_model("fleet", "1", path, slow);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(900);
+  std::vector<std::future<Prediction>> futures;
+  for (int i = 0; i < 4; ++i) {
+    Request r = request_for("t", "fleet", x);
+    r.deadline = deadline;
+    futures.push_back(server.submit(std::move(r)));
+  }
+  for (auto& f : futures) EXPECT_NO_THROW(f.get());
+  Response follow_up = server.serve(request_for("t", "fleet", x));
+  EXPECT_EQ(follow_up.status, Status::kOk) << follow_up.error;
+
+  const auto units = server.unit_metrics();
+  ASSERT_EQ(units.size(), 1u);
+  EXPECT_EQ(units[0].completed, 5u);
+  EXPECT_EQ(units[0].cluster_retries, 0u);
+  EXPECT_EQ(units[0].timeouts, 0u);
+}
+
+// ---- tenant admission ------------------------------------------------------
+
+TEST(ModelServer, UnregisteredTenantsAreRejectedWhenAutoRegistrationIsOff) {
+  const std::string path = make_artifact("srv_admission.rpla", 8, 919);
+  Rng rng(43);
+  Tensor x = Tensor::randn({1, 8, 1}, rng);
+  const Prediction oracle = oracle_of(path, x);
+
+  ServerOptions options;
+  options.auto_register_tenants = false;
+  ModelServer server(options);
+  server.load_model("fleet", "1", path);
+  server.register_tenant({.id = "known", .seed_salt = 0});
+
+  // Unregistered: a typed quota rejection, counted, and no unit opened.
+  Response stranger = server.serve(request_for("stranger", "fleet", x));
+  EXPECT_EQ(stranger.status, Status::kQuotaExceeded);
+  EXPECT_NE(stranger.error.find("not registered"), std::string::npos);
+  EXPECT_EQ(server.counters().quota_rejected(), 1u);
+  EXPECT_EQ(server.counters().submitted(), 0u);
+  EXPECT_TRUE(server.unit_metrics().empty());
+
+  // Registered: served, bit-exact with its salt-0 oracle.
+  Response known = server.serve(request_for("known", "fleet", x));
+  ASSERT_EQ(known.status, Status::kOk) << known.error;
+  EXPECT_TRUE(regressions_equal(known.prediction, oracle));
+  EXPECT_EQ(server.counters().submitted(), 1u);
+  EXPECT_EQ(server.counters().quota_rejected(), 1u);
+  const auto tenants = server.tenant_metrics();
+  ASSERT_EQ(tenants.size(), 1u);  // the stranger was never registered
+  EXPECT_EQ(tenants[0].tenant, "known");
 }
 
 // ---- metrics ---------------------------------------------------------------

@@ -154,7 +154,7 @@ TEST_F(TracingTest, ServerClusterTimelineCoversAllFiveLayers) {
   Tensor x = Tensor::randn({1, 8, 1}, rng);
 
   ServerOptions options;
-  options.replicas = 2;
+  options.cluster.replicas = 2;
   ModelServer server(options);
   server.load_model("fleet", "1", path);
   for (int i = 0; i < 4; ++i) {
